@@ -50,7 +50,8 @@ class Action:
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (ACTION_DIM,):
             raise ValueError(f"expected a {ACTION_DIM}-vector, got shape {arr.shape}")
-        return cls(delta=(arr[0], arr[1], arr[2]), grip=arr[3])
+        dx, dy, dz, grip = arr.tolist()
+        return cls(delta=(dx, dy, dz), grip=grip)
 
     @staticmethod
     def zero(grip: float = 0.0) -> "Action":
@@ -84,13 +85,27 @@ class ActionChunk:
         return cls((action,))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# (lo, hi) per chunk length, built once; read-only so callers cannot alter them
+_BOUNDS = {
+    n: (_read_only(np.tile([-DELTA_BOUND, -DELTA_BOUND, -DELTA_BOUND, 0.0], n)),
+        _read_only(np.tile([DELTA_BOUND, DELTA_BOUND, DELTA_BOUND, 1.0], n)))
+    for n in range(1, MAX_CHUNK_LEN + 1)
+}
+
+
 def action_bounds(chunk_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise (lo, hi) bounds for a flattened chunk of ``chunk_len`` actions."""
+    """Componentwise (lo, hi) bounds for a flattened chunk of ``chunk_len`` actions.
+
+    The arrays are shared and read-only.
+    """
     if not 1 <= chunk_len <= MAX_CHUNK_LEN:
         raise ValueError(f"chunk_len must be in [1, {MAX_CHUNK_LEN}]")
-    lo = np.tile([-DELTA_BOUND, -DELTA_BOUND, -DELTA_BOUND, 0.0], chunk_len)
-    hi = np.tile([DELTA_BOUND, DELTA_BOUND, DELTA_BOUND, 1.0], chunk_len)
-    return lo, hi
+    return _BOUNDS[chunk_len]
 
 
 def euclidean_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
@@ -138,4 +153,6 @@ def unflatten_chunk(vec: Sequence[float] | np.ndarray, n_actions: int) -> Action
     arr = np.asarray(vec, dtype=float).ravel()
     if n_actions < 1 or arr.size != n_actions * ACTION_DIM:
         raise ValueError(f"cannot split a {arr.size}-vector into {n_actions} actions")
-    return ActionChunk(tuple(Action.from_vector(arr[i * ACTION_DIM:(i + 1) * ACTION_DIM]) for i in range(n_actions)))
+    vals = arr.tolist()
+    return ActionChunk(tuple(Action(delta=tuple(vals[i:i + 3]), grip=vals[i + 3])
+                             for i in range(0, len(vals), ACTION_DIM)))

@@ -287,7 +287,11 @@ def resolve_workers(requested: int | None = None) -> int:
     workers = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get("REASONER_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ValueError(f"REASONER_THREADS must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, limit))
     return max(1, workers)
 
 

@@ -92,7 +92,7 @@ def _summary(report: BenchReport) -> str:
     return line
 
 
-def _artifacts(out: Path, config: RunConfig):
+def _artifacts(out: Path):
     demos = out / "demos.jsonl"
     if not demos.is_file():
         raise DataError(f"missing {demos}; run gen-data first")
@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "fit-prior":
-            trajs = _artifacts(out, config)
+            trajs = _artifacts(out)
             prior = demo_prior(trajs, chunk_len=config.policy.chunk_len,
                                bandwidth=config.prior_bandwidth)
             save_prior(prior, out / "prior.json")
@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "fit-reward":
-            trajs = _artifacts(out, config)
+            trajs = _artifacts(out)
             model = demo_reward_model(trajs, config.reward_stride, config.ridge_lambda,
                                       task_kind=config.task.task_id)
             save_model(model, out / "reward.json")
@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             report = ablate_sampling(config, prior, model)
             write_report(report, out / "sampling_ablation.json", out / "sampling_ablation.csv")
         elif args.command == "ablate-reward":
-            trajs = _artifacts(out, config)
+            trajs = _artifacts(out)
             bank = demo_reward_data(trajs, config.reward_stride)
             report = ablate_reward(config, prior, model, bank)
             write_report(report, out / "reward_ablation.json", out / "reward_ablation.csv")

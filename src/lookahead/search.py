@@ -6,12 +6,15 @@ policy proposal itself is always kept as a candidate), simulates every child
 through the world model, scores it with the reward head, and backs the values
 up; UCB then picks the node to deepen. The returned action is the root child
 with the best backed-up value, and the caller blends it into the policy's
-proposal with weight 1 - alpha.
+proposal with weight 1 - alpha. The flat ``SearchTrace`` of a finished tree is
+built on demand, when a caller reads ``SearchResult.trace``; acting on the
+result alone never builds it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from typing import Callable
@@ -242,8 +245,19 @@ class SearchTrace:
 
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
+    """The searched action plus the finished tree it was chosen from.
+
+    ``trace`` flattens the tree through ``SearchTrace.from_tree`` the first
+    time it is read and caches the snapshot; a caller that only needs
+    ``action`` pays nothing for it.
+    """
+
     action: np.ndarray  # flattened action of the best root child
-    trace: SearchTrace
+    root: TreeNode
+
+    @functools.cached_property
+    def trace(self) -> SearchTrace:
+        return SearchTrace.from_tree(self.root)
 
 
 def run_search(
@@ -257,6 +271,9 @@ def run_search(
 ) -> SearchResult:
     """One search pass: expand/simulate/backpropagate once per depth level.
 
+    The level's single backup runs after its last simulation: backpropagate
+    recomputes every ancestor from its children's current values, so one call
+    over the fully simulated level gives exactly what one call per child did.
     The rollout rule returns the root child with maximal value, which either
     confirms the policy proposal (the anchor is always a root candidate) or
     overrides it with a nearby action whose lookahead scored better.
@@ -270,11 +287,10 @@ def run_search(
         children = expand(node, prior, config, seed)
         for child in children:
             simulate(child, world, reward)
-            backpropagate(child)
+        backpropagate(children[-1])
         node = select_ucb(node, config.c)
     best = max(root.children, key=lambda ch: ch.value)  # ties keep the lowest index
-    return SearchResult(action=np.asarray(best.incoming_action, dtype=float).copy(),
-                        trace=SearchTrace.from_tree(root))
+    return SearchResult(action=np.asarray(best.incoming_action, dtype=float).copy(), root=root)
 
 
 def act(

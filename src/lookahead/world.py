@@ -11,6 +11,7 @@ epsilon per coordinate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -117,6 +118,11 @@ class TaskSpec:
         doc.update(horizon=self.horizon, tolerance=self.tolerance)
         return doc
 
+    @functools.cached_property
+    def canonical_json(self) -> bytes:
+        """``to_dict`` as sorted-key UTF-8 JSON, built once per (frozen) spec."""
+        return json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "TaskSpec":
         kind_id = doc["kind"]
@@ -189,7 +195,7 @@ class Observation:
         for o in self.objects:
             parts.append(struct.pack(">4d", *o.pos, o.half_size))
         parts.append(struct.pack(">2i", self.step_index, self.waypoints_hit))
-        parts.append(json.dumps(self.task.to_dict(), sort_keys=True).encode("utf-8"))
+        parts.append(self.task.canonical_json)
         return b"".join(parts)
 
 

@@ -142,3 +142,43 @@ def test_action_bounds_layout():
     assert lo[0] == -DELTA_BOUND and hi[0] == DELTA_BOUND
     assert lo[3] == 0.0 and hi[3] == 1.0  # grip channel
     assert math.isclose(hi[4], DELTA_BOUND)
+
+
+def test_action_bounds_are_shared_read_only_tiles():
+    for n in range(1, 9):
+        lo, hi = action_bounds(n)
+        assert lo.tobytes() == np.tile([-DELTA_BOUND, -DELTA_BOUND, -DELTA_BOUND, 0.0], n).tobytes()
+        assert hi.tobytes() == np.tile([DELTA_BOUND, DELTA_BOUND, DELTA_BOUND, 1.0], n).tobytes()
+        assert action_bounds(n)[0] is lo
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
+        with pytest.raises(ValueError):
+            hi += 1.0
+    for bad in (0, 9):
+        with pytest.raises(ValueError):
+            action_bounds(bad)
+
+
+def test_unflatten_keeps_exact_values_and_validation():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        vec = np.concatenate([np.append(rng.uniform(-0.05, 0.05, 3), rng.uniform(0, 1))
+                              for _ in range(n)])
+        chunk = unflatten_chunk(vec, n)
+        for i, a in enumerate(chunk):
+            ref = vec[i * ACTION_DIM:(i + 1) * ACTION_DIM]
+            assert a.delta == (float(ref[0]), float(ref[1]), float(ref[2]))
+            assert a.grip == float(ref[3])
+            assert all(type(v) is float for v in (*a.delta, a.grip))
+    good = np.array([0.01, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+    for i, bad in [(4, 0.06), (1, -0.051), (7, 1.5), (3, -0.1),
+                   (0, float("nan")), (6, float("inf")), (3, float("nan"))]:
+        vec = good.copy()
+        vec[i] = bad
+        with pytest.raises(ValueError):
+            unflatten_chunk(vec, 2)
+        with pytest.raises(ValueError):
+            Action.from_vector(vec[4 * (i // 4):4 * (i // 4) + 4])
+    with pytest.raises(ValueError):
+        unflatten_chunk(good, 3)

@@ -241,6 +241,13 @@ def test_resolve_workers_env_cap(monkeypatch):
     assert resolve_workers() >= 1
 
 
+@pytest.mark.parametrize("value", ["two", "2.0", "1e3"])
+def test_resolve_workers_rejects_a_non_integer_cap(monkeypatch, value):
+    monkeypatch.setenv("REASONER_THREADS", value)
+    with pytest.raises(ValueError, match=f"REASONER_THREADS.*{value!r}"):
+        resolve_workers(2)
+
+
 def test_benchmark_byte_identical_across_workers(run_config, prior, reward_model):
     cfg = _tiny_config(run_config, n=4)
     serial = la.run_benchmark(cfg, prior, reward_model, workers=1)

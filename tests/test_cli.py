@@ -103,6 +103,14 @@ def test_missing_artifacts_exit_one(tmp_path, capsys):
     assert "fit-prior" in capsys.readouterr().err
 
 
+def test_non_integer_worker_cap_exits_one(workdir, monkeypatch, capsys):
+    _, cfg, out = workdir
+    monkeypatch.setenv("REASONER_THREADS", "two")
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "REASONER_THREADS" in err and "'two'" in err
+
+
 def test_usage_errors_exit_two(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TINY), encoding="utf-8")

@@ -110,6 +110,45 @@ def test_density_batch_matches_single():
         assert abs(batch[i] - density(prior, q)) < 1e-12
 
 
+def _broadcast_density(prior, a):
+    """The density formula as one broadcast expression: the reference."""
+    q2 = np.atleast_2d(np.asarray(a, dtype=float))
+    h, d = prior.bandwidth, prior.dim
+    diffs = q2[:, None, :] - prior.points[None, :, :]
+    sq = np.einsum("qnd,qnd->qn", diffs, diffs)
+    norm = (2.0 * math.pi) ** (-d / 2.0) * h ** (-d)
+    return norm * np.exp(-sq / (2.0 * h * h)).mean(axis=1)
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_density_equals_the_broadcast_formula_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for trial in range(40):
+        pts = rng.uniform(-0.05, 0.05, size=(int(rng.integers(2, 300)), d))
+        prior = fit_kde(pts, float(rng.uniform(0.005, 0.05)))
+        queries = pts[rng.integers(0, len(pts), size=int(rng.integers(1, 12)))]
+        queries = queries + rng.normal(0.0, 0.01, size=queries.shape)
+        got = density(prior, queries)
+        want = _broadcast_density(prior, queries)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        single = density(prior, queries[0])
+        assert isinstance(single, float) and single == want[0]
+
+
+def test_bounded_sample_equals_clipped_draws_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for chunk_len in (1, 4):
+        pts = rng.uniform(-0.06, 0.06, size=(50, 4 * chunk_len))
+        prior = fit_kde(pts, 0.03)
+        lo = np.tile([-0.05, -0.05, -0.05, 0.0], chunk_len)
+        hi = np.tile([0.05, 0.05, 0.05, 1.0], chunk_len)
+        for seed in range(10):
+            raw = sample(prior, 256, seed)
+            got = sample(prior, 256, seed, bounds=(lo, hi))
+            assert got.tobytes() == np.clip(raw, lo, hi).tobytes()
+
+
 def test_sample_is_support_plus_gaussian():
     # 1-D prior on {0} with h=1: mean ~ 0, std ~ 1 over 1e5 draws
     pts = np.zeros((2, 1))

@@ -15,6 +15,7 @@ from lookahead.kde import KdePrior, SamplePool, sample, top_k_near
 from lookahead.policies import ExpertPolicy
 from lookahead.search import (
     SearchConfig,
+    SearchTrace,
     TreeNode,
     act,
     backpropagate,
@@ -282,6 +283,44 @@ def test_backprop_runs_to_root():
     assert a.visits == b.visits == 5
 
 
+def _grow_levels(rng, depth, per_child_backup):
+    """A search-shaped tree: one expanded node per level, deepened by UCB.
+
+    Backs each level up either once per child (the reference loop) or once
+    after the level's last child.
+    """
+    root = TreeNode(reward=float(rng.uniform()))
+    node = root
+    for level in range(depth):
+        k = int(rng.integers(1, 9))
+        node.children = [TreeNode(reward=float(rng.uniform(-1.0, 1.0)),
+                                  visits=int(rng.integers(1, 20)),
+                                  parent=node, depth=level + 1, index=i)
+                         for i in range(k)]
+        if per_child_backup:
+            for ch in node.children:
+                backpropagate(ch)
+        else:
+            backpropagate(node.children[-1])
+        node = select_ucb(node, 1.0 / math.sqrt(2.0))
+    return root
+
+
+def _flat(node):
+    out = [(node.value, node.visits)]
+    for ch in node.children:
+        out.extend(_flat(ch))
+    return out
+
+
+def test_one_backup_per_level_equals_the_per_child_loop():
+    for trial in range(200):
+        depth = 1 + trial % 4
+        loop = _grow_levels(np.random.default_rng(trial), depth, per_child_backup=True)
+        once = _grow_levels(np.random.default_rng(trial), depth, per_child_backup=False)
+        assert _flat(once) == _flat(loop)  # exact floats, exact counts
+
+
 # --- select_ucb -----------------------------------------------------------
 
 
@@ -447,6 +486,56 @@ def test_search_value_bounded_by_subtree_rewards(stack_task, prior, reward_model
     for n in res.trace.nodes:
         rs = subtree(n.id)
         assert min(rs) - 1e-12 <= n.value <= max(rs) + 1e-12
+
+
+def _eager_search(obs, chunk, prior, world, reward, config, seed):
+    """The search loop with one backup per child and an eagerly built trace."""
+    root = TreeNode(obs=obs, incoming_action=flatten_chunk(chunk), reward=float(reward(obs)))
+    node = root
+    for _ in range(config.max_depth):
+        for child in expand(node, prior, config, seed):
+            simulate(child, world, reward)
+            backpropagate(child)
+        node = select_ucb(node, config.c)
+    best = max(root.children, key=lambda ch: ch.value)
+    return best.incoming_action, SearchTrace.from_tree(root)
+
+
+@pytest.mark.parametrize("chunk_len", [1, 4])
+def test_search_matches_the_eager_per_child_loop(stack_task, demos, reward_model, chunk_len):
+    chunk_prior = la.demo_prior(demos, chunk_len=chunk_len, bandwidth=0.01)
+    pol = ExpertPolicy(chunk_len=chunk_len)
+    reward_fn = lambda o: la.predict_reward(reward_model, o)
+    for seed in range(6):
+        obs = la.reset(stack_task, seed)
+        chunk = pol.propose(obs)
+        cfg = SearchConfig(max_depth=1 + seed % 4)
+        action, trace = _eager_search(obs, chunk, chunk_prior, la.step, reward_fn, cfg, seed)
+        res = run_search(obs, chunk, chunk_prior, la.step, reward_fn, cfg, seed)
+        assert res.action.tobytes() == action.tobytes()
+        assert res.trace.to_json() == trace.to_json()
+
+
+def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model, monkeypatch):
+    built = []
+    eager = SearchTrace.from_tree.__func__
+
+    def spy(cls, root):
+        built.append(root)
+        return eager(cls, root)
+
+    monkeypatch.setattr(SearchTrace, "from_tree", classmethod(spy))
+    obs = la.reset(stack_task, 52)
+    pol = ExpertPolicy()
+    reward_fn = lambda o: la.predict_reward(reward_model, o)
+    for t in range(3):
+        act(obs, pol, prior, la.step, reward_fn, SearchConfig(), step_counter=t, seed=53)
+    res = run_search(obs, pol.propose(obs), prior, la.step, reward_fn, SearchConfig(), seed=53)
+    assert built == []  # acting and searching never flatten the tree
+    first = res.trace
+    assert built == [res.root]
+    assert res.trace is first  # cached after the first read
+    assert len(built) == 1
 
 
 # --- act ------------------------------------------------------------------

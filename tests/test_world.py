@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -201,6 +204,22 @@ def test_observation_dict_round_trip(stack_task):
     obs = la.step(obs, la.Action((0.01, 0.02, -0.03), 0.8))
     again = la.Observation.from_dict(obs.to_dict())
     assert again == obs
+
+
+@pytest.mark.parametrize("kind", [la.Stack(), la.PickPlace(), la.FollowCircle()])
+def test_canonical_bytes_equal_the_plain_task_json_form(kind):
+    task = la.TaskSpec(kind=kind, horizon=37, tolerance=0.03)
+    obs = la.step(la.reset(task, 3), la.Action((0.01, -0.02, 0.03), 0.9))
+    plain = json.dumps(task.to_dict(), sort_keys=True).encode("utf-8")
+    held = -1 if obs.held_object is None else obs.held_object
+    expected = b"".join([struct.pack(">3d?i", *obs.gripper_pos, obs.grip_closed, held),
+                         *(struct.pack(">4d", *o.pos, o.half_size) for o in obs.objects),
+                         struct.pack(">2i", obs.step_index, obs.waypoints_hit), plain])
+    state = obs.canonical_bytes()
+    assert state == expected
+    again = dataclasses.replace(obs, task=la.TaskSpec.from_dict(task.to_dict()))
+    assert again.canonical_bytes() == state  # a fresh spec with the same content
+    assert obs.canonical_bytes() == state  # and the cached spec, read again
 
 
 def test_imperfect_step_zero_epsilon_is_exact(stack_task):
