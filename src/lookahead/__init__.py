@@ -16,7 +16,6 @@ from .actions import (
     action_bounds,
     blend_actions,
     blend_vectors,
-    euclidean_distance,
     flatten_chunk,
     unflatten_chunk,
 )
@@ -51,7 +50,6 @@ from .kde import (
     sample,
     save_prior,
     top_k_near,
-    visit_weights,
     weights_from_densities,
 )
 from .policies import DriftPolicy, ExpertPolicy, expert_action
@@ -66,7 +64,6 @@ from .reward import (
     load_model,
     model_from_json,
     model_to_json,
-    nearest_frame_reward,
     predict_reward,
     save_model,
 )

@@ -108,15 +108,6 @@ def action_bounds(chunk_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return _BOUNDS[chunk_len]
 
 
-def euclidean_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Euclidean distance between two equally shaped flat vectors."""
-    av = np.asarray(a, dtype=float).ravel()
-    bv = np.asarray(b, dtype=float).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    return float(np.linalg.norm(av - bv))
-
-
 def blend_vectors(
     proposal: np.ndarray,
     searched: np.ndarray,

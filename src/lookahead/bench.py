@@ -1,14 +1,19 @@
 """Demo generation, seeded episodes, paired benchmarks, sweeps, and ablations.
 
 Every comparison is paired: each arm replays the same derived episode seeds,
-so arm differences are differences in behavior, not in luck. Reports carry no
-wall-clock timestamps, which keeps re-runs byte-identical regardless of how
-many worker processes executed the episodes. REASONER_THREADS caps workers.
+so arm differences are differences in behavior, not in luck. Each protocol
+builds its reward scorer once, as a plain picklable callable: the learned
+head bound to ``predict_reward``, or a ``FrameBankScorer`` for the reward
+ablation. An arm maps its seeds through one ``run_episode`` partial, in this
+process or through one process pool per arm. Reports carry no wall-clock
+times, which keeps re-runs byte-identical regardless of how many worker
+processes executed the episodes. REASONER_THREADS caps workers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -16,8 +21,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .actions import Action, MAX_CHUNK_LEN
 from .errors import DataError
@@ -110,12 +113,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Parse a config document; unknown sections and keys are errors.
+
+        Sections and their keys are the ones ``to_dict`` writes. Task keys
+        depend on the task kind and are left to ``TaskSpec.from_dict``.
+        """
+        defaults = cls()
+        known = defaults.to_dict()
+        for section, body in doc.items():
+            if section not in known:
+                raise ValueError(f"unknown config section {section!r}")
+            if section == "task":
+                continue
+            for key in body:
+                if key not in known[section]:
+                    raise ValueError(f"unknown key {key!r} in config section {section!r}")
         bench = doc.get("bench", {})
         demos = doc.get("demos", {})
         prior = doc.get("prior", {})
         rew = doc.get("reward", {})
         sweeps = doc.get("sweeps", {})
-        defaults = cls()
         return cls(
             task=TaskSpec.from_dict(doc["task"]) if "task" in doc else TaskSpec(kind=Stack()),
             policy=PolicyParams(**doc.get("policy", {})),
@@ -254,34 +271,6 @@ def run_episode(
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class _EpisodeJob:
-    config: RunConfig
-    search: SearchConfig
-    episode_seed: int
-    use_reasoner: bool
-    prior: KdePrior | None
-    reward_model: RewardModel | None
-    bank_features: np.ndarray | None = None
-    bank_labels: np.ndarray | None = None
-    reward_kind: str = "model"  # "model" | "nearest"
-
-
-def _job_reward_fn(job: _EpisodeJob) -> Callable[[Observation], float] | None:
-    if job.reward_kind == "nearest":
-        scorer = FrameBankScorer.from_arrays(job.bank_features, job.bank_labels)
-        return scorer
-    if job.reward_model is None:
-        return None
-    model = job.reward_model
-    return lambda obs: predict_reward(model, obs)
-
-
-def _run_job(job: _EpisodeJob) -> EpisodeResult:
-    return run_episode(job.config, job.episode_seed, job.use_reasoner,
-                       prior=job.prior, reward_fn=_job_reward_fn(job), search=job.search)
-
-
 def resolve_workers(requested: int | None = None) -> int:
     """Worker process count; the REASONER_THREADS env var is a hard cap."""
     workers = requested if requested is not None else (os.cpu_count() or 1)
@@ -293,15 +282,6 @@ def resolve_workers(requested: int | None = None) -> int:
             raise ValueError(f"REASONER_THREADS must be an integer, got {cap!r}") from None
         workers = min(workers, max(1, limit))
     return max(1, workers)
-
-
-def _run_jobs(jobs: list[_EpisodeJob], workers: int | None) -> list[EpisodeResult]:
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(jobs) <= 1:
-        return [_run_job(j) for j in jobs]
-    chunk = max(1, len(jobs) // (n_workers * 4))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_run_job, jobs, chunksize=chunk))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -351,16 +331,11 @@ CSV_HEADER = "arm,alpha,epsilon,success_rate,n,mean_steps"
 
 @dataclasses.dataclass(frozen=True)
 class BenchReport:
-    """A set of paired arms plus the config that produced them.
-
-    ``wall_time`` is informational only and never serialized: reports must be
-    byte-identical across re-runs and worker counts.
-    """
+    """A set of paired arms plus the config that produced them."""
 
     kind: str
     config: RunConfig
     arms: tuple[ArmResult, ...]
-    wall_time: float = 0.0
 
     def arm(self, name: str, **match: float) -> ArmResult:
         for a in self.arms:
@@ -398,19 +373,20 @@ def write_report(report: BenchReport, json_path: str | Path, csv_path: str | Pat
     Path(csv_path).write_text(report.to_csv(), encoding="utf-8")
 
 
-def _arm(config: RunConfig, name: str, use_reasoner: bool, prior: KdePrior | None,
-         reward_model: RewardModel | None, search: SearchConfig, workers: int | None,
-         reward_kind: str = "model", bank: tuple[np.ndarray, np.ndarray] | None = None) -> ArmResult:
+def _arm(config: RunConfig, name: str, search: SearchConfig, workers: int | None,
+         reward_fn: Callable[[Observation], float], prior: KdePrior | None = None) -> ArmResult:
+    """Every episode seed of one arm; an arm given a prior is a reasoner arm."""
     seeds = episode_seeds(config)
-    jobs = [
-        _EpisodeJob(config=config, search=search, episode_seed=s, use_reasoner=use_reasoner,
-                    prior=prior if use_reasoner else None, reward_model=reward_model,
-                    bank_features=bank[0] if bank else None,
-                    bank_labels=bank[1] if bank else None,
-                    reward_kind=reward_kind)
-        for s in seeds
-    ]
-    episodes = _run_jobs(jobs, workers)
+    use_reasoner = prior is not None
+    episode = functools.partial(run_episode, config, use_reasoner=use_reasoner, prior=prior,
+                                reward_fn=reward_fn, search=search)
+    n_workers = resolve_workers(workers)
+    if n_workers == 1 or len(seeds) <= 1:
+        episodes = [episode(s) for s in seeds]
+    else:
+        chunk = max(1, len(seeds) // (n_workers * 4))
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            episodes = list(pool.map(episode, seeds, chunksize=chunk))
     alpha = search.alpha if use_reasoner else 1.0
     epsilon = search.epsilon_model if use_reasoner else 0.0
     arm = ArmResult(arm=name, alpha=alpha, epsilon=epsilon,
@@ -425,11 +401,10 @@ def run_benchmark(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
     """Paired baseline-vs-reasoner evaluation over the same episode seeds."""
     if prior is None or reward_model is None:
         raise ValueError("run_benchmark needs a fitted prior and reward model")
-    t0 = time.perf_counter()
-    baseline = _arm(config, "baseline", False, None, reward_model, config.search, workers)
-    reasoner = _arm(config, "reasoner", True, prior, reward_model, config.search, workers)
-    return BenchReport(kind="benchmark", config=config, arms=(baseline, reasoner),
-                       wall_time=time.perf_counter() - t0)
+    scorer = functools.partial(predict_reward, reward_model)
+    baseline = _arm(config, "baseline", config.search, workers, scorer)
+    reasoner = _arm(config, "reasoner", config.search, workers, scorer, prior)
+    return BenchReport(kind="benchmark", config=config, arms=(baseline, reasoner))
 
 
 def sweep_alpha(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
@@ -439,46 +414,39 @@ def sweep_alpha(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
     grid = tuple(alphas) if alphas is not None else config.alphas
     if not grid:
         raise ValueError("alpha grid must be non-empty")
-    t0 = time.perf_counter()
-    arms = [_arm(config, "baseline", False, None, reward_model, config.search, workers)]
+    scorer = functools.partial(predict_reward, reward_model)
+    arms = [_arm(config, "baseline", config.search, workers, scorer)]
     for a in grid:
         search = dataclasses.replace(config.search, alpha=float(a))
-        arms.append(_arm(config, "reasoner", True, prior, reward_model, search, workers))
-    return BenchReport(kind="alpha-sweep", config=config, arms=tuple(arms),
-                       wall_time=time.perf_counter() - t0)
+        arms.append(_arm(config, "reasoner", search, workers, scorer, prior))
+    return BenchReport(kind="alpha-sweep", config=config, arms=tuple(arms))
 
 
 def ablate_sampling(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                     workers: int | None = None) -> BenchReport:
     """KDE expansion vs Gaussian-noise expansion at matched sigma and pool size."""
-    t0 = time.perf_counter()
+    scorer = functools.partial(predict_reward, reward_model)
     kde_search = dataclasses.replace(config.search, sampler="kde")
     noise_search = dataclasses.replace(config.search, sampler="noise",
                                        noise_sigma=prior.bandwidth)
     arms = (
-        _arm(config, "kde", True, prior, reward_model, kde_search, workers),
-        _arm(config, "noise", True, prior, reward_model, noise_search, workers),
+        _arm(config, "kde", kde_search, workers, scorer, prior),
+        _arm(config, "noise", noise_search, workers, scorer, prior),
     )
-    return BenchReport(kind="sampling-ablation", config=config, arms=arms,
-                       wall_time=time.perf_counter() - t0)
+    return BenchReport(kind="sampling-ablation", config=config, arms=arms)
 
 
 def ablate_reward(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                   demo_bank: Sequence[LabeledFrame],
                   workers: int | None = None) -> BenchReport:
     """Learned linear reward vs nearest-demo-frame lookup, same seeds."""
-    if not demo_bank:
-        raise DataError("the demo bank is empty")
-    t0 = time.perf_counter()
-    bank = (np.stack([f.features for f in demo_bank]),
-            np.array([f.label for f in demo_bank]))
+    nearest = FrameBankScorer(demo_bank)  # an empty bank fails before any episode
+    learned = functools.partial(predict_reward, reward_model)
     arms = (
-        _arm(config, "regressor", True, prior, reward_model, config.search, workers),
-        _arm(config, "nearest-frame", True, prior, None, config.search, workers,
-             reward_kind="nearest", bank=bank),
+        _arm(config, "regressor", config.search, workers, learned, prior),
+        _arm(config, "nearest-frame", config.search, workers, nearest, prior),
     )
-    return BenchReport(kind="reward-ablation", config=config, arms=arms,
-                       wall_time=time.perf_counter() - t0)
+    return BenchReport(kind="reward-ablation", config=config, arms=arms)
 
 
 def sweep_model_error(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
@@ -488,10 +456,9 @@ def sweep_model_error(config: RunConfig, prior: KdePrior, reward_model: RewardMo
     grid = tuple(epsilons) if epsilons is not None else config.epsilons
     if not grid:
         raise ValueError("epsilon grid must be non-empty")
-    t0 = time.perf_counter()
-    arms = [_arm(config, "baseline", False, None, reward_model, config.search, workers)]
+    scorer = functools.partial(predict_reward, reward_model)
+    arms = [_arm(config, "baseline", config.search, workers, scorer)]
     for eps in grid:
         search = dataclasses.replace(config.search, epsilon_model=float(eps))
-        arms.append(_arm(config, "reasoner", True, prior, reward_model, search, workers))
-    return BenchReport(kind="model-error-sweep", config=config, arms=tuple(arms),
-                       wall_time=time.perf_counter() - t0)
+        arms.append(_arm(config, "reasoner", search, workers, scorer, prior))
+    return BenchReport(kind="model-error-sweep", config=config, arms=tuple(arms))

@@ -2,8 +2,9 @@
 
 The prior is fit on demonstration actions and drives candidate expansion:
 sampling proposes new actions near the demonstrated ones, ``density`` scores
-how typical an action is, and ``visit_weights`` converts those scores into
-integer pseudo visit counts so denser candidates start with more weight.
+how typical an action is, and ``weights_from_densities`` converts those
+scores into integer pseudo visit counts so denser candidates start with more
+weight (the search composes the two for the candidates it keeps).
 
 Density of a query ``a`` over support points ``a_1..a_N`` with bandwidth h:
 
@@ -54,23 +55,16 @@ class KdePrior:
 
 @dataclasses.dataclass
 class SamplePool:
-    """Candidate actions drawn around one anchor, with optional densities."""
+    """Candidate actions drawn around one anchor."""
 
     anchor: np.ndarray
     candidates: np.ndarray  # (n, d)
-    densities: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.anchor = np.asarray(self.anchor, dtype=float).ravel()
         self.candidates = np.asarray(self.candidates, dtype=float)
         if self.candidates.ndim != 2 or self.candidates.shape[1] != self.anchor.size:
             raise ValueError("candidates must be (n, d) with d matching the anchor")
-        if self.densities is not None:
-            self.densities = np.asarray(self.densities, dtype=float)
-            if self.densities.shape != (self.candidates.shape[0],):
-                raise ValueError("densities must align with candidates")
-            if np.any(self.densities < 0):
-                raise ValueError("densities must be non-negative")
 
 
 def _rule_bandwidth(points: np.ndarray, rule: str) -> float:
@@ -219,15 +213,6 @@ def weights_from_densities(densities: np.ndarray, total_budget: int) -> np.ndarr
         shares = p / total
     raw = (total_budget - m) * shares
     return (1 + np.ceil(raw - 1e-9).astype(int)).astype(int)
-
-
-def visit_weights(prior: KdePrior, actions: np.ndarray, total_budget: int) -> np.ndarray:
-    """Soft visit counts for a set of candidate actions under the prior."""
-    acts = np.atleast_2d(np.asarray(actions, dtype=float))
-    if acts.shape[0] < 1:
-        raise ValueError("need at least one action")
-    dens = np.atleast_1d(density(prior, acts))
-    return weights_from_densities(dens, total_budget)
 
 
 def prior_to_json(prior: KdePrior) -> str:

@@ -9,6 +9,7 @@ models a miscalibrated imitation policy whose error compounds over a rollout.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -72,6 +73,19 @@ def expert_action(obs: Observation) -> Action:
     return Action.zero(grip=0.0)  # release; the block settles onto its support
 
 
+def _open_loop(obs: Observation, chunk_len: int,
+               act: Callable[[Observation], Action]) -> ActionChunk:
+    """``chunk_len`` actions from ``act``, stepping the exact world between them."""
+    actions = []
+    cur = obs
+    for i in range(chunk_len):
+        a = act(cur)
+        actions.append(a)
+        if i + 1 < chunk_len:
+            cur = step(cur, a)
+    return ActionChunk(tuple(actions))
+
+
 class ExpertPolicy:
     """Stateless scripted controller; chunks are rolled out open loop."""
 
@@ -84,14 +98,7 @@ class ExpertPolicy:
         pass  # nothing to reset
 
     def propose(self, obs: Observation) -> ActionChunk:
-        actions = []
-        cur = obs
-        for i in range(self.chunk_len):
-            a = expert_action(cur)
-            actions.append(a)
-            if i + 1 < self.chunk_len:
-                cur = step(cur, a)
-        return ActionChunk(tuple(actions))
+        return _open_loop(obs, self.chunk_len, expert_action)
 
 
 class DriftPolicy:
@@ -120,21 +127,17 @@ class DriftPolicy:
         self._rng = rng_from("drift", self.stream, episode_seed)
 
     def propose(self, obs: Observation) -> ActionChunk:
-        actions = []
-        cur = obs
-        for i in range(self.chunk_len):
-            base = expert_action(cur)
-            noise = self._rng.normal(0.0, self.sigma, size=3)
-            delta = np.clip(np.asarray(base.delta) + self._bias + noise,
-                            -DELTA_BOUND, DELTA_BOUND)
-            a = Action(tuple(delta), base.grip)
-            # bias update happens after the action, so a fresh reset emits
-            # the expert action plus noise alone
-            u = self._rng.normal(size=3)
-            norm = float(np.linalg.norm(u))
-            if norm > 0.0:
-                self._bias = self._bias + self.eta * (u / norm)
-            actions.append(a)
-            if i + 1 < self.chunk_len:
-                cur = step(cur, a)
-        return ActionChunk(tuple(actions))
+        return _open_loop(obs, self.chunk_len, self._drift_action)
+
+    def _drift_action(self, obs: Observation) -> Action:
+        base = expert_action(obs)
+        noise = self._rng.normal(0.0, self.sigma, size=3)
+        delta = np.clip(np.asarray(base.delta) + self._bias + noise,
+                        -DELTA_BOUND, DELTA_BOUND)
+        # bias update happens after the action, so a fresh reset emits
+        # the expert action plus noise alone
+        u = self._rng.normal(size=3)
+        norm = float(np.linalg.norm(u))
+        if norm > 0.0:
+            self._bias = self._bias + self.eta * (u / norm)
+        return Action(tuple(delta), base.grip)

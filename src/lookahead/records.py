@@ -36,10 +36,6 @@ class Trajectory:
         return len(self.frames)
 
     @property
-    def observations(self) -> list[Any]:
-        return [o for o, _ in self.frames]
-
-    @property
     def actions(self) -> list[Action]:
         return [a for _, a in self.frames]
 

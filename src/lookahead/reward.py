@@ -3,8 +3,10 @@
 Frames of a successful demo are labeled with linear progress i/(M-1), so the
 first frame scores 0 and the last scores 1 (a 10-frame demo gives its index-5
 frame 5/9). A ridge regression from rendered state features to those labels
-then scores arbitrary states during search. A nearest-demo-frame lookup is
-kept as the ablation baseline.
+then scores arbitrary states during search. ``FrameBankScorer``, a
+nearest-demo-frame lookup, is the ablation baseline. Both scorers are plain
+picklable callables of one observation: ``functools.partial(predict_reward,
+model)`` and ``FrameBankScorer(bank)``.
 """
 
 from __future__ import annotations
@@ -131,20 +133,12 @@ def predict_reward(model: RewardModel, obs: Observation) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def nearest_frame_reward(demo_bank: Sequence[LabeledFrame], obs: Observation) -> float:
-    """Label of the demo frame nearest in feature space; ties take the lowest index."""
-    if not demo_bank:
-        raise DataError("the demo bank is empty")
-    feats = render_features(obs)
-    bank = np.stack([f.features for f in demo_bank])
-    if bank.shape[1] != feats.size:
-        raise ValueError("bank feature length does not match the observation")
-    dists = np.linalg.norm(bank - feats[None, :], axis=1)
-    return demo_bank[int(np.argmin(dists))].label
-
-
 class FrameBankScorer:
-    """Prestacked nearest-frame lookup, for the hot path of reward ablations."""
+    """Nearest-demo-frame lookup over a prestacked bank, the reward ablation's scorer.
+
+    Scores a state with the label of the bank frame nearest in feature space;
+    ties take the lowest index.
+    """
 
     def __init__(self, demo_bank: Sequence[LabeledFrame]):
         if not demo_bank:
@@ -152,17 +146,11 @@ class FrameBankScorer:
         self.features = np.stack([f.features for f in demo_bank])
         self.labels = np.array([f.label for f in demo_bank])
 
-    @classmethod
-    def from_arrays(cls, features: np.ndarray, labels: np.ndarray) -> "FrameBankScorer":
-        scorer = cls.__new__(cls)
-        scorer.features = np.asarray(features, dtype=float)
-        scorer.labels = np.asarray(labels, dtype=float)
-        if scorer.features.ndim != 2 or scorer.features.shape[0] != scorer.labels.size:
-            raise ValueError("features and labels must align")
-        return scorer
-
     def __call__(self, obs: Observation) -> float:
-        diff = self.features - render_features(obs)
+        feats = render_features(obs)
+        if feats.size != self.features.shape[1]:
+            raise ValueError("bank feature length does not match the observation")
+        diff = self.features - feats
         d2 = np.einsum("nd,nd->n", diff, diff)
         return float(self.labels[int(np.argmin(d2))])
 

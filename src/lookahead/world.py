@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import struct
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -234,19 +234,15 @@ def _clip01(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def _settle(objects: list[ObjectState], idx: int, tolerance: float,
-            exclude: int | None = None) -> ObjectState:
-    """Resting state for object ``idx`` at its current (x, y).
+def _settle(me: ObjectState, supports: Iterable[ObjectState], tolerance: float) -> ObjectState:
+    """Resting state for ``me`` at its current (x, y).
 
-    Within horizontal tolerance of another block it rests on the highest such
-    top, otherwise it drops to the table. z = support top + half_size.
+    Within horizontal tolerance of a support block it rests on the highest
+    such top, otherwise it drops to the table. z = support top + half_size.
     """
-    me = objects[idx]
     x, y = me.pos[0], me.pos[1]
     support_top = 0.0
-    for j, other in enumerate(objects):
-        if j == idx or j == exclude:
-            continue
+    for other in supports:
         if math.hypot(other.pos[0] - x, other.pos[1] - y) <= tolerance:
             top = other.pos[2] + other.half_size
             if top > support_top:
@@ -284,7 +280,8 @@ def step(obs: Observation, action: Action) -> Observation:
             held = best
             objects[held] = ObjectState(gp, objects[held].half_size)
     elif not closed_now and obs.grip_closed and held is not None:
-        objects[held] = _settle(objects, held, obs.task.tolerance)
+        others = [o for i, o in enumerate(objects) if i != held]
+        objects[held] = _settle(objects[held], others, obs.task.tolerance)
         held = None
 
     hit = obs.waypoints_hit
@@ -329,15 +326,7 @@ def _resettle_free(objects: list[ObjectState], held: int | None, tolerance: floa
                    key=lambda i: objects[i].pos[2])
     settled: dict[int, ObjectState] = {}
     for idx in order:
-        me = objects[idx]
-        x, y = me.pos[0], me.pos[1]
-        support_top = 0.0
-        for j, other in settled.items():
-            if math.hypot(other.pos[0] - x, other.pos[1] - y) <= tolerance:
-                top = other.pos[2] + other.half_size
-                if top > support_top:
-                    support_top = top
-        settled[idx] = ObjectState((x, y, support_top + me.half_size), me.half_size)
+        settled[idx] = _settle(objects[idx], settled.values(), tolerance)
     out = list(objects)
     for idx, st in settled.items():
         out[idx] = st

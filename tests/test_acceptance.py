@@ -21,7 +21,7 @@ import lookahead as la
 from lookahead.actions import flatten_chunk, unflatten_chunk
 from lookahead.kde import SamplePool, density, fit_kde, sample, top_k_near
 from lookahead.policies import DriftPolicy, ExpertPolicy, expert_action
-from lookahead.reward import LabeledFrame, fit_reward, label_progress, nearest_frame_reward
+from lookahead.reward import FrameBankScorer, LabeledFrame, fit_reward, label_progress
 from lookahead.search import SearchConfig, TreeNode, backpropagate, run_search, select_ucb
 from lookahead.seeding import derive_seed
 from lookahead.world import render_features
@@ -164,11 +164,12 @@ def test_criterion_2_oracle_equivalence(stack_task, prior, demos, run_config):
     # nearest-demo-frame lookup vs a linear scan
     bank = la.demo_reward_data(demos[:10], run_config.reward_stride)
     feats = np.stack([f.features for f in bank])
+    scorer = FrameBankScorer(bank)
     for trial in range(300):
         obs = la.reset(stack_task, 3000 + trial)
         q = render_features(obs)
         idx = int(np.argmin(np.linalg.norm(feats - q, axis=1)))
-        assert nearest_frame_reward(bank, obs) == bank[idx].label
+        assert scorer(obs) == bank[idx].label
 
     dt = time.perf_counter() - t0
     print(f"\ncriterion 2: 1000 pools + 60 searches + 300 lookups exact, {dt:.2f}s")

@@ -15,7 +15,6 @@ from lookahead.actions import (
     action_bounds,
     blend_actions,
     blend_vectors,
-    euclidean_distance,
     flatten_chunk,
     unflatten_chunk,
 )
@@ -82,28 +81,6 @@ def test_blend_rejects_bad_alpha():
 def test_blend_vectors_shape_check():
     with pytest.raises(ValueError):
         blend_vectors(np.zeros(4), np.zeros(8), 0.5)
-
-
-def test_distance_identity_and_345():
-    a = np.zeros(4)
-    assert euclidean_distance(a, a) == 0.0
-    b = np.array([0.03, 0.04, 0.0, 0.0])
-    assert abs(euclidean_distance(a, b) - 0.05) < 1e-12
-
-
-def test_distance_symmetry_and_triangle():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        a, b, c = rng.normal(size=(3, 4))
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
-        assert euclidean_distance(a, c) <= (
-            euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
-        )
-
-
-def test_distance_shape_mismatch():
-    with pytest.raises(ValueError):
-        euclidean_distance(np.zeros(4), np.zeros(8))
 
 
 def test_chunk_length_limits():

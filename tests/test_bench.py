@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -186,8 +187,7 @@ def test_arm_result_alignment_enforced():
 def test_report_json_has_no_wall_time(run_config):
     arms = (_fake_arm("baseline", [True, False]),
             _fake_arm("reasoner", [True, True], alpha=0.6))
-    report = BenchReport(kind="benchmark", config=run_config, arms=arms,
-                         wall_time=123.4)
+    report = BenchReport(kind="benchmark", config=run_config, arms=arms)
     doc = json.loads(report.to_json())
     assert "wall_time" not in json.dumps(doc)
     assert doc["paired_diff"] == pytest.approx(0.5)
@@ -324,3 +324,27 @@ def test_sweep_rejects_empty_grids(run_config, prior, reward_model):
         la.sweep_alpha(run_config, prior, reward_model, alphas=())
     with pytest.raises(ValueError):
         la.sweep_model_error(run_config, prior, reward_model, epsilons=())
+
+
+# --- pinned report bytes ------------------------------------------------------
+
+# sha256 of ``to_json() + "\n" + to_csv()`` (the bytes ``write_report`` writes)
+# for each protocol at the shipped config with 4 episodes per arm. A change
+# that moves one of these changes what some report says; it must say why.
+REPORT_DIGESTS = {
+    "run_benchmark": "2fbb584ec9e146331e28519a6be9e64ee4f7143b31eecb890e1c910a67c426f2",
+    "sweep_alpha": "b0d1fcd3469ab59e980cae3cf16481e5826bc4c47824377a07359ae7edcb228c",
+    "ablate_sampling": "0ee7c440bd0409f8c47a3605c3ab0f7ec194c8ca48c584482a9339d41d07d941",
+    "ablate_reward": "65669841a56137d78e4bcde209937db5f3194a2f1ce3a3944adc2091419c8cb8",
+    "sweep_model_error": "c86ae531d331965f0de7606d2ba2c0e3e42fca6b842e9ad9491a3ac52d9a94f2",
+}
+
+
+@pytest.mark.parametrize("protocol, workers", [*((name, 1) for name in REPORT_DIGESTS),
+                                               ("sweep_alpha", 2)])
+def test_report_bytes_are_pinned(protocol, workers, run_config, prior, reward_model, demos):
+    cfg = dataclasses.replace(run_config, n_episodes=4)
+    extra = (la.demo_reward_data(demos, cfg.reward_stride),) if protocol == "ablate_reward" else ()
+    report = getattr(la, protocol)(cfg, prior, reward_model, *extra, workers=workers)
+    report_bytes = (report.to_json() + "\n" + report.to_csv()).encode("utf-8")
+    assert hashlib.sha256(report_bytes).hexdigest() == REPORT_DIGESTS[protocol]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from lookahead.bench import RunConfig
 from lookahead.cli import main
 
 TINY = {
@@ -138,6 +140,27 @@ def test_invalid_config_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(bad_value), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("doc, named", [
+    (dict(TINY, serch={"k": 4}), "unknown config section 'serch'"),
+    (dict(TINY, bench={"n_epsiodes": 4}), "unknown key 'n_epsiodes' in config section 'bench'"),
+    (dict(TINY, sweeps={"alpha": [0.5]}), "unknown key 'alpha' in config section 'sweeps'"),
+])
+def test_unknown_config_keys_exit_two(tmp_path, capsys, doc, named):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"invalid config: {named}" in capsys.readouterr().err
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A minimal config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    config = RunConfig.from_dict(json.loads(example))
+    assert config.n_episodes == 200 and config.search.alpha == 0.6
 
 
 def test_gen_data_seed_override(tmp_path, capsys):

@@ -22,7 +22,6 @@ from lookahead.kde import (
     sample,
     save_prior,
     top_k_near,
-    visit_weights,
     weights_from_densities,
 )
 
@@ -256,7 +255,7 @@ def test_visit_weights_budget_precondition():
 def test_visit_weights_from_prior():
     prior = fit_kde(np.array([[0.0], [0.0], [5.0]]), 0.5)
     actions = np.array([[0.0], [5.0], [20.0]])
-    w = visit_weights(prior, actions, 30)
+    w = weights_from_densities(np.atleast_1d(density(prior, actions)), 30)
     assert w[0] > w[1] > 0
     assert w[2] == 1  # far from all mass: floor weight
 

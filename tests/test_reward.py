@@ -20,7 +20,6 @@ from lookahead.reward import (
     label_progress,
     model_from_json,
     model_to_json,
-    nearest_frame_reward,
     predict_reward,
 )
 from lookahead.world import render_features
@@ -182,14 +181,14 @@ def test_nearest_frame_exact_hit(stack_task):
     frames = [la.reset(stack_task, s) for s in range(8)]
     bank = label_progress(frames)
     for i, obs in enumerate(frames):
-        assert nearest_frame_reward(bank, obs) == bank[i].label
+        assert FrameBankScorer(bank)(obs) == bank[i].label
 
 
 def test_nearest_frame_single_entry(stack_task):
     obs = la.reset(stack_task, 33)
     bank = [LabeledFrame(render_features(obs), 0.4)]
     other = la.reset(stack_task, 34)
-    assert nearest_frame_reward(bank, other) == 0.4
+    assert FrameBankScorer(bank)(other) == 0.4
 
 
 def test_nearest_frame_matches_brute_force(stack_task):
@@ -197,11 +196,12 @@ def test_nearest_frame_matches_brute_force(stack_task):
     frames = [la.reset(stack_task, s) for s in range(40)]
     bank = label_progress(frames)
     feats = np.stack([f.features for f in bank])
+    scorer = FrameBankScorer(bank)
     for trial in range(100):
         obs = la.reset(stack_task, 1000 + trial)
         q = render_features(obs)
         best = int(np.argmin(np.linalg.norm(feats - q, axis=1)))
-        assert nearest_frame_reward(bank, obs) == bank[best].label
+        assert scorer(obs) == bank[best].label
 
 
 def test_frame_bank_scorer_agrees_with_lookup(stack_task):
@@ -210,16 +210,22 @@ def test_frame_bank_scorer_agrees_with_lookup(stack_task):
     scorer = FrameBankScorer(bank)
     for trial in range(50):
         obs = la.reset(stack_task, 2000 + trial)
-        assert scorer(obs) == nearest_frame_reward(bank, obs)
+        # a linear scan in bank order: the first frame at the smallest distance
+        q = render_features(obs)
+        dists = [float(np.linalg.norm(f.features - q)) for f in bank]
+        assert scorer(obs) == bank[dists.index(min(dists))].label
 
 
 def test_nearest_frame_preconditions(stack_task):
     obs = la.reset(stack_task, 36)
     with pytest.raises(DataError):
-        nearest_frame_reward([], obs)
+        FrameBankScorer([])
     bank = [LabeledFrame(np.zeros(3), 0.5)]
-    with pytest.raises(ValueError):
-        nearest_frame_reward(bank, obs)
+    with pytest.raises(ValueError, match="feature length"):
+        FrameBankScorer(bank)(obs)
+    # a one-feature bank would broadcast against any observation without the check
+    with pytest.raises(ValueError, match="feature length"):
+        FrameBankScorer([LabeledFrame(np.zeros(1), 0.5)])(obs)
 
 
 def test_model_json_round_trip():
