@@ -80,10 +80,6 @@ class ActionChunk:
     def __getitem__(self, i: int) -> Action:
         return self.actions[i]
 
-    @classmethod
-    def single(cls, action: Action) -> "ActionChunk":
-        return cls((action,))
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False

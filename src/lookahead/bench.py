@@ -22,8 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .actions import Action, MAX_CHUNK_LEN
-from .errors import DataError
+from .actions import ACTION_DIM, Action, MAX_CHUNK_LEN
+from .errors import DataError, require_ints
 from .kde import KdePrior, fit_kde
 from .policies import DriftPolicy, ExpertPolicy
 from .records import EpisodeResult, Trajectory, action_matrix, read_trajectories, write_trajectories
@@ -38,7 +38,7 @@ from .reward import (
 )
 from .search import SearchConfig, act
 from .seeding import derive_seed
-from .world import Observation, Stack, TaskSpec, imperfect_step, is_success, reset, step
+from .world import Observation, Stack, TaskSpec, feature_length, imperfect_step, is_success, reset, step
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +52,7 @@ class PolicyParams:
     chunk_len: int = 1
 
     def __post_init__(self) -> None:
+        require_ints(self)
         if self.eta < 0 or self.sigma < 0:
             raise ValueError("eta and sigma must be non-negative")
         if not 1 <= self.chunk_len <= MAX_CHUNK_LEN:
@@ -61,9 +62,24 @@ class PolicyParams:
         return dataclasses.asdict(self)
 
 
+# config section -> key -> RunConfig field, in report order; to_dict and from_dict both read it.
+# A section mapped to a class holds one config of that class, whose keys are its fields;
+# task keys depend on the task kind, so TaskSpec.from_dict checks those.
+_SECTIONS: dict[str, type | dict[str, str]] = {
+    "task": TaskSpec,
+    "policy": PolicyParams,
+    "search": SearchConfig,
+    "bench": {"n_episodes": "n_episodes", "base_seed": "base_seed"},
+    "demos": {"n": "demo_count", "seed": "demo_seed"},
+    "prior": {"bandwidth": "prior_bandwidth"},
+    "reward": {"stride": "reward_stride", "ridge_lambda": "ridge_lambda"},
+    "sweeps": {"alphas": "alphas", "epsilons": "epsilons"},
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """One experiment: a task, a policy, search knobs, and evaluation scale."""
+    """One experiment, and the only source of each arm's inputs: a sweep arm runs on a copy."""
 
     task: TaskSpec = dataclasses.field(default_factory=lambda: TaskSpec(kind=Stack()))
     policy: PolicyParams = dataclasses.field(default_factory=PolicyParams)
@@ -83,6 +99,7 @@ class RunConfig:
     epsilons: tuple[float, ...] = (0.0, 0.005, 0.01, 0.02, 0.05)
 
     def __post_init__(self) -> None:
+        require_ints(self)
         if self.n_episodes < 1:
             raise ValueError("n_episodes must be >= 1")
         if self.demo_count < 1:
@@ -96,57 +113,48 @@ class RunConfig:
             raise ValueError("reward_stride must be >= 1")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
+        if not self.alphas or not self.epsilons:
+            raise ValueError("the alpha and epsilon sweep grids must be non-empty")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task.to_dict(),
-            "policy": self.policy.to_dict(),
-            "search": self.search.to_dict(),
-            "bench": {"n_episodes": self.n_episodes, "base_seed": self.base_seed},
-            "demos": {"n": self.demo_count, "seed": self.demo_seed},
-            "prior": {"bandwidth": self.prior_bandwidth},
-            "reward": {"stride": self.reward_stride, "ridge_lambda": self.ridge_lambda},
-            "sweeps": {"alphas": list(self.alphas), "epsilons": list(self.epsilons)},
-        }
+        doc = {}
+        for section, keys in _SECTIONS.items():
+            if isinstance(keys, type):
+                doc[section] = getattr(self, section).to_dict()
+            else:
+                values = [getattr(self, field) for field in keys.values()]
+                doc[section] = {k: list(v) if isinstance(v, tuple) else v
+                                for k, v in zip(keys, values)}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Parse a config document; unknown sections and keys are errors.
-
-        Sections and their keys are the ones ``to_dict`` writes. Task keys
-        depend on the task kind and are left to ``TaskSpec.from_dict``.
-        """
-        defaults = cls()
-        known = defaults.to_dict()
+        """Parse ``to_dict``'s form, with defaults for what it omits; a non-object,
+        an unknown section or an unknown key is a ValueError naming it."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
+        fields: dict = {}
         for section, body in doc.items():
-            if section not in known:
+            keys = _SECTIONS.get(section)
+            if keys is None:
                 raise ValueError(f"unknown config section {section!r}")
-            if section == "task":
+            if not isinstance(body, dict):
+                raise ValueError(f"config section {section!r} must be a JSON object, "
+                                 f"got {type(body).__name__}")
+            if keys is TaskSpec:
+                fields["task"] = TaskSpec.from_dict(body)
                 continue
+            known = keys.__dataclass_fields__ if isinstance(keys, type) else keys
             for key in body:
-                if key not in known[section]:
+                if key not in known:
                     raise ValueError(f"unknown key {key!r} in config section {section!r}")
-        bench = doc.get("bench", {})
-        demos = doc.get("demos", {})
-        prior = doc.get("prior", {})
-        rew = doc.get("reward", {})
-        sweeps = doc.get("sweeps", {})
-        return cls(
-            task=TaskSpec.from_dict(doc["task"]) if "task" in doc else TaskSpec(kind=Stack()),
-            policy=PolicyParams(**doc.get("policy", {})),
-            search=SearchConfig.from_dict(doc.get("search", {})),
-            n_episodes=bench.get("n_episodes", defaults.n_episodes),
-            base_seed=bench.get("base_seed", defaults.base_seed),
-            demo_count=demos.get("n", defaults.demo_count),
-            demo_seed=demos.get("seed", defaults.demo_seed),
-            prior_bandwidth=prior.get("bandwidth", defaults.prior_bandwidth),
-            reward_stride=rew.get("stride", defaults.reward_stride),
-            ridge_lambda=rew.get("ridge_lambda", defaults.ridge_lambda),
-            alphas=tuple(sweeps.get("alphas", defaults.alphas)),
-            epsilons=tuple(sweeps.get("epsilons", defaults.epsilons)),
-        )
+            if isinstance(keys, type):
+                fields[section] = keys(**body)
+            else:
+                fields.update((keys[key], value) for key, value in body.items())
+        return cls(**fields)
 
 
 def episode_seeds(config: RunConfig) -> list[int]:
@@ -223,10 +231,8 @@ def run_episode(
     use_reasoner: bool,
     prior: KdePrior | None = None,
     reward_fn: Callable[[Observation], float] | None = None,
-    search: SearchConfig | None = None,
 ) -> EpisodeResult:
     """One seeded episode; the reasoner arm needs a prior and a reward scorer."""
-    cfg = search if search is not None else config.search
     if use_reasoner and (prior is None or reward_fn is None):
         raise ValueError("the reasoner arm needs a fitted prior and reward scorer")
     t0 = time.perf_counter()
@@ -235,7 +241,7 @@ def run_episode(
     policy.reset(episode_seed)
     obs = reset(config.task, episode_seed)
     if use_reasoner:
-        eps = cfg.epsilon_model
+        eps = config.search.epsilon_model
         if eps == 0.0:
             world_fn = step
         else:
@@ -247,7 +253,7 @@ def run_episode(
     success = is_success(obs)
     while not success and steps < config.task.horizon:
         if use_reasoner:
-            chunk = act(obs, policy, prior, world_fn, reward_fn, cfg,
+            chunk = act(obs, policy, prior, world_fn, reward_fn, config.search,
                         invocations, derive_seed(episode_seed, "search", invocations))
         else:
             chunk = policy.propose(obs)
@@ -373,13 +379,13 @@ def write_report(report: BenchReport, json_path: str | Path, csv_path: str | Pat
     Path(csv_path).write_text(report.to_csv(), encoding="utf-8")
 
 
-def _arm(config: RunConfig, name: str, search: SearchConfig, workers: int | None,
+def _arm(config: RunConfig, name: str, workers: int | None,
          reward_fn: Callable[[Observation], float], prior: KdePrior | None = None) -> ArmResult:
     """Every episode seed of one arm; an arm given a prior is a reasoner arm."""
     seeds = episode_seeds(config)
     use_reasoner = prior is not None
     episode = functools.partial(run_episode, config, use_reasoner=use_reasoner, prior=prior,
-                                reward_fn=reward_fn, search=search)
+                                reward_fn=reward_fn)
     n_workers = resolve_workers(workers)
     if n_workers == 1 or len(seeds) <= 1:
         episodes = [episode(s) for s in seeds]
@@ -387,8 +393,8 @@ def _arm(config: RunConfig, name: str, search: SearchConfig, workers: int | None
         chunk = max(1, len(seeds) // (n_workers * 4))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             episodes = list(pool.map(episode, seeds, chunksize=chunk))
-    alpha = search.alpha if use_reasoner else 1.0
-    epsilon = search.epsilon_model if use_reasoner else 0.0
+    alpha = config.search.alpha if use_reasoner else 1.0
+    epsilon = config.search.epsilon_model if use_reasoner else 0.0
     arm = ArmResult(arm=name, alpha=alpha, epsilon=epsilon,
                     seeds=tuple(seeds), episodes=tuple(episodes))
     log.info("arm %-14s alpha=%.2f epsilon=%.3f success=%.3f n=%d",
@@ -396,42 +402,48 @@ def _arm(config: RunConfig, name: str, search: SearchConfig, workers: int | None
     return arm
 
 
+def _with_search(config: RunConfig, **changes) -> RunConfig:
+    return dataclasses.replace(config, search=dataclasses.replace(config.search, **changes))
+
+
+def _learned_scorer(config: RunConfig, prior: KdePrior, reward_model: RewardModel):
+    """The learned reward scorer, once both artifacts are checked against ``config``; runs before any episode."""
+    if prior.dim != ACTION_DIM * config.policy.chunk_len:
+        raise ValueError(f"prior dimension {prior.dim} does not match chunk_len {config.policy.chunk_len}")
+    if reward_model.weights.size != feature_length(config.task) + 1:
+        raise ValueError(f"reward model with {reward_model.weights.size - 1} feature weights does not "
+                         f"match task {config.task.task_id!r} ({feature_length(config.task)} features)")
+    return functools.partial(predict_reward, reward_model)
+
+
 def run_benchmark(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                   workers: int | None = None) -> BenchReport:
     """Paired baseline-vs-reasoner evaluation over the same episode seeds."""
-    if prior is None or reward_model is None:
-        raise ValueError("run_benchmark needs a fitted prior and reward model")
-    scorer = functools.partial(predict_reward, reward_model)
-    baseline = _arm(config, "baseline", config.search, workers, scorer)
-    reasoner = _arm(config, "reasoner", config.search, workers, scorer, prior)
+    scorer = _learned_scorer(config, prior, reward_model)
+    baseline = _arm(config, "baseline", workers, scorer)
+    reasoner = _arm(config, "reasoner", workers, scorer, prior)
     return BenchReport(kind="benchmark", config=config, arms=(baseline, reasoner))
 
 
 def sweep_alpha(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
-                alphas: Sequence[float] | None = None,
                 workers: int | None = None) -> BenchReport:
-    """Baseline plus one reasoner arm per alpha, all over the same seeds."""
-    grid = tuple(alphas) if alphas is not None else config.alphas
-    if not grid:
-        raise ValueError("alpha grid must be non-empty")
-    scorer = functools.partial(predict_reward, reward_model)
-    arms = [_arm(config, "baseline", config.search, workers, scorer)]
-    for a in grid:
-        search = dataclasses.replace(config.search, alpha=float(a))
-        arms.append(_arm(config, "reasoner", search, workers, scorer, prior))
+    """Baseline plus one reasoner arm per alpha of ``config.alphas``, all over the same seeds."""
+    scorer = _learned_scorer(config, prior, reward_model)
+    arms = [_arm(config, "baseline", workers, scorer)]
+    for a in config.alphas:
+        arms.append(_arm(_with_search(config, alpha=a), "reasoner", workers, scorer, prior))
     return BenchReport(kind="alpha-sweep", config=config, arms=tuple(arms))
 
 
 def ablate_sampling(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                     workers: int | None = None) -> BenchReport:
     """KDE expansion vs Gaussian-noise expansion at matched sigma and pool size."""
-    scorer = functools.partial(predict_reward, reward_model)
-    kde_search = dataclasses.replace(config.search, sampler="kde")
-    noise_search = dataclasses.replace(config.search, sampler="noise",
-                                       noise_sigma=prior.bandwidth)
+    scorer = _learned_scorer(config, prior, reward_model)
+    kde = _with_search(config, sampler="kde")
+    noise = _with_search(config, sampler="noise", noise_sigma=prior.bandwidth)
     arms = (
-        _arm(config, "kde", kde_search, workers, scorer, prior),
-        _arm(config, "noise", noise_search, workers, scorer, prior),
+        _arm(kde, "kde", workers, scorer, prior),
+        _arm(noise, "noise", workers, scorer, prior),
     )
     return BenchReport(kind="sampling-ablation", config=config, arms=arms)
 
@@ -440,25 +452,20 @@ def ablate_reward(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                   demo_bank: Sequence[LabeledFrame],
                   workers: int | None = None) -> BenchReport:
     """Learned linear reward vs nearest-demo-frame lookup, same seeds."""
+    learned = _learned_scorer(config, prior, reward_model)
     nearest = FrameBankScorer(demo_bank)  # an empty bank fails before any episode
-    learned = functools.partial(predict_reward, reward_model)
     arms = (
-        _arm(config, "regressor", config.search, workers, learned, prior),
-        _arm(config, "nearest-frame", config.search, workers, nearest, prior),
+        _arm(config, "regressor", workers, learned, prior),
+        _arm(config, "nearest-frame", workers, nearest, prior),
     )
     return BenchReport(kind="reward-ablation", config=config, arms=arms)
 
 
 def sweep_model_error(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
-                      epsilons: Sequence[float] | None = None,
                       workers: int | None = None) -> BenchReport:
-    """Baseline plus one reasoner arm per world-model error level."""
-    grid = tuple(epsilons) if epsilons is not None else config.epsilons
-    if not grid:
-        raise ValueError("epsilon grid must be non-empty")
-    scorer = functools.partial(predict_reward, reward_model)
-    arms = [_arm(config, "baseline", config.search, workers, scorer)]
-    for eps in grid:
-        search = dataclasses.replace(config.search, epsilon_model=float(eps))
-        arms.append(_arm(config, "reasoner", search, workers, scorer, prior))
+    """Baseline plus one reasoner arm per world-model error level of ``config.epsilons``."""
+    scorer = _learned_scorer(config, prior, reward_model)
+    arms = [_arm(config, "baseline", workers, scorer)]
+    for eps in config.epsilons:
+        arms.append(_arm(_with_search(config, epsilon_model=eps), "reasoner", workers, scorer, prior))
     return BenchReport(kind="model-error-sweep", config=config, arms=tuple(arms))

@@ -35,16 +35,15 @@ from .reward import load_model, save_model
 
 log = logging.getLogger("lookahead")
 
-COMMANDS = (
-    "gen-data",
-    "fit-prior",
-    "fit-reward",
-    "run",
-    "sweep-alpha",
-    "ablate-sampling",
-    "ablate-reward",
-    "sweep-model-error",
-)
+# evaluation command -> (protocol, stem of its .json and .csv report files)
+EVALUATIONS = {
+    "run": (run_benchmark, "report"),
+    "sweep-alpha": (sweep_alpha, "alpha_sweep"),
+    "ablate-sampling": (ablate_sampling, "sampling_ablation"),
+    "ablate-reward": (ablate_reward, "reward_ablation"),
+    "sweep-model-error": (sweep_model_error, "model_error_sweep"),
+}
+COMMANDS = ("gen-data", "fit-prior", "fit-reward", *EVALUATIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,24 +141,12 @@ def main(argv: list[str] | None = None) -> int:
         prior = load_prior(prior_path)
         model = load_model(reward_path)
 
-        if args.command == "run":
-            report = run_benchmark(config, prior, model)
-            write_report(report, out / "report.json", out / "report.csv")
-        elif args.command == "sweep-alpha":
-            report = sweep_alpha(config, prior, model)
-            write_report(report, out / "alpha_sweep.json", out / "alpha_sweep.csv")
-        elif args.command == "ablate-sampling":
-            report = ablate_sampling(config, prior, model)
-            write_report(report, out / "sampling_ablation.json", out / "sampling_ablation.csv")
-        elif args.command == "ablate-reward":
-            trajs = _artifacts(out)
-            bank = demo_reward_data(trajs, config.reward_stride)
-            report = ablate_reward(config, prior, model, bank)
-            write_report(report, out / "reward_ablation.json", out / "reward_ablation.csv")
-        else:  # sweep-model-error
-            report = sweep_model_error(config, prior, model)
-            write_report(report, out / "model_error_sweep.json", out / "model_error_sweep.csv")
-
+        protocol, stem = EVALUATIONS[args.command]
+        # the reward ablation also scores with the labeled demo frames
+        extra = ((demo_reward_data(_artifacts(out), config.reward_stride),)
+                 if args.command == "ablate-reward" else ())
+        report = protocol(config, prior, model, *extra)
+        write_report(report, out / f"{stem}.json", out / f"{stem}.csv")
         print(_summary(report))
         return 0
     except (DataError, StateError, ValueError, OSError) as exc:

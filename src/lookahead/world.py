@@ -20,6 +20,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .actions import Action, DELTA_BOUND
+from .errors import require_ints
 from .seeding import derive_seed, rng_from
 
 GRASP_RADIUS = 0.03  # closing within this distance of a center attaches the object
@@ -66,6 +67,9 @@ _NOMINAL_XY = {
 
 _KIND_IDS = {Stack: "stack", PickPlace: "pick-place", FollowCircle: "follow-circle"}
 _ID_KINDS = {v: k for k, v in _KIND_IDS.items()}
+# field name -> whether it holds a tuple (a JSON list), per task kind
+_KIND_FIELDS = {kind: {f.name: isinstance(f.default, tuple) for f in dataclasses.fields(kind)}
+                for kind in _KIND_IDS}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,12 +81,14 @@ class TaskSpec:
     tolerance: float = 0.04
 
     def __post_init__(self) -> None:
+        require_ints(self)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be a positive real")
         kind = self.kind
         n_obj = len(_NOMINAL_XY[type(kind)])
+        require_ints(kind)
         if isinstance(kind, Stack):
             if not (0 <= kind.src < n_obj and 0 <= kind.dst < n_obj) or kind.src == kind.dst:
                 raise ValueError("stack needs two distinct valid object indices")
@@ -94,8 +100,6 @@ class TaskSpec:
         elif isinstance(kind, FollowCircle):
             if kind.radius <= 0 or kind.n_waypoints < 1:
                 raise ValueError("circle needs a positive radius and at least one waypoint")
-        else:
-            raise TypeError(f"unknown task kind {type(kind).__name__}")
 
     @property
     def task_id(self) -> str:
@@ -107,14 +111,9 @@ class TaskSpec:
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.task_id}
-        if isinstance(self.kind, Stack):
-            doc.update(src=self.kind.src, dst=self.kind.dst)
-        elif isinstance(self.kind, PickPlace):
-            doc.update(src=self.kind.src, zone_center=list(self.kind.zone_center),
-                       zone_radius=self.kind.zone_radius)
-        else:
-            doc.update(center=list(self.kind.center), radius=self.kind.radius,
-                       n_waypoints=self.kind.n_waypoints)
+        for name, is_tuple in _KIND_FIELDS[type(self.kind)].items():
+            value = getattr(self.kind, name)
+            doc[name] = list(value) if is_tuple else value
         doc.update(horizon=self.horizon, tolerance=self.tolerance)
         return doc
 
@@ -125,25 +124,21 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TaskSpec":
+        """Parse ``to_dict``'s form; a key the task kind does not have is a ValueError naming both."""
         kind_id = doc["kind"]
-        if kind_id not in _ID_KINDS:
+        kind_cls = _ID_KINDS.get(kind_id)
+        if kind_cls is None:
             raise ValueError(f"unknown task kind {kind_id!r}")
-        kcls = _ID_KINDS[kind_id]
-        if kcls is Stack:
-            kind: TaskKind = Stack(src=doc.get("src", 0), dst=doc.get("dst", 1))
-        elif kcls is PickPlace:
-            kind = PickPlace(
-                src=doc.get("src", 0),
-                zone_center=tuple(doc.get("zone_center", PickPlace.zone_center)),
-                zone_radius=doc.get("zone_radius", PickPlace.zone_radius),
-            )
-        else:
-            kind = FollowCircle(
-                center=tuple(doc.get("center", FollowCircle.center)),
-                radius=doc.get("radius", FollowCircle.radius),
-                n_waypoints=doc.get("n_waypoints", FollowCircle.n_waypoints),
-            )
-        return cls(kind=kind, horizon=doc.get("horizon", 80), tolerance=doc.get("tolerance", 0.04))
+        fields = _KIND_FIELDS[kind_cls]
+        kind_args, spec_args = {}, {}
+        for key, value in doc.items():
+            if key in fields:
+                kind_args[key] = tuple(value) if fields[key] else value
+            elif key in ("horizon", "tolerance"):
+                spec_args[key] = value
+            elif key != "kind":
+                raise ValueError(f"unknown key {key!r} for task kind {kind_id!r}")
+        return cls(kind=kind_cls(**kind_args), **spec_args)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -349,9 +349,9 @@ def test_criterion_8_determinism(benchmark_report, run_config, prior,
 
     # sweeps re-run byte-identical at reduced scale
     import dataclasses
-    small = dataclasses.replace(run_config, n_episodes=6)
-    a = la.sweep_alpha(small, prior, reward_model, alphas=(0.0, 0.6), workers=1)
-    b = la.sweep_alpha(small, prior, reward_model, alphas=(0.0, 0.6), workers=2)
+    small = dataclasses.replace(run_config, n_episodes=6, alphas=(0.0, 0.6))
+    a = la.sweep_alpha(small, prior, reward_model, workers=1)
+    b = la.sweep_alpha(small, prior, reward_model, workers=2)
     assert a.to_json() == b.to_json()
 
     # a single search replays to an identical trace

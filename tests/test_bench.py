@@ -54,11 +54,30 @@ def test_run_config_validation():
 
 def test_run_config_dict_round_trip(run_config):
     assert la.RunConfig.from_dict(run_config.to_dict()) == run_config
+    assert run_config.to_dict() == json.loads(json.dumps(run_config.to_dict()))
     # partial documents fall back to defaults field by field
     partial = la.RunConfig.from_dict({"bench": {"n_episodes": 9}})
     assert partial.n_episodes == 9
     assert partial.task == run_config.task
     assert partial.prior_bandwidth == run_config.prior_bandwidth
+
+
+@pytest.mark.parametrize("make, name", [
+    *((la.RunConfig, name) for name in
+      ("n_episodes", "base_seed", "demo_count", "demo_seed", "reward_stride")),
+    (PolicyParams, "chunk_len"),
+    *((la.SearchConfig, name) for name in
+      ("k", "pool_size", "max_depth", "visit_budget", "invoke_period")),
+    (lambda **kw: la.TaskSpec(kind=la.Stack(), **kw), "horizon"),
+    (lambda **kw: la.TaskSpec(kind=la.Stack(**kw)), "src"),
+    (lambda **kw: la.TaskSpec(kind=la.Stack(**kw)), "dst"),
+    (lambda **kw: la.TaskSpec(kind=la.PickPlace(**kw)), "src"),
+    (lambda **kw: la.TaskSpec(kind=la.FollowCircle(**kw)), "n_waypoints"),
+])
+@pytest.mark.parametrize("value", [True, 2.5, "3"])
+def test_integer_fields_reject_bools_and_non_integers(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        make(**{name: value})
 
 
 def test_episode_seeds_are_stable_and_distinct(run_config):
@@ -97,6 +116,27 @@ def test_generate_demos_byte_identical(tmp_path, stack_task):
         paths.append((d, f))
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+
+# sha256 of demos.jsonl + b"\0" + failures.jsonl for 12 demos at seed 7; the
+# bytes embed every frame's task dict, so they pin TaskSpec.to_dict too
+DEMO_DIGESTS = {
+    "stack": "94472fa7f6fe4d2ddaa30aa9e41bd41ceaedfcbed2b6fed69aeb1ecaf2cc912f",
+    "pick-place": "9d7c2539a58387c4ac07dcbb3f430e55013d9b2cba9069f605654f498e587d67",
+    "follow-circle": "d28fdb155dfa81e1d2c39f0bcf686bacc386af8a2f22f1054ca225c869a67207",
+}
+
+
+@pytest.mark.parametrize("kind", [la.Stack(), la.PickPlace(), la.FollowCircle()],
+                         ids=list(DEMO_DIGESTS))
+def test_demo_bytes_are_pinned(tmp_path, kind):
+    task = la.TaskSpec(kind=kind)
+    d, f = tmp_path / "demos.jsonl", tmp_path / "failures.jsonl"
+    la.generate_demos(task, 12, 7, d, f)
+    digest = hashlib.sha256(d.read_bytes() + b"\0" + f.read_bytes()).hexdigest()
+    assert digest == DEMO_DIGESTS[task.task_id]
+    # every frame parses back to the task it was written from
+    assert {frame[0].task for traj in la.load_demos(d) for frame in traj.frames} == {task}
 
 
 def test_generate_demos_failure_split(tmp_path):
@@ -280,8 +320,10 @@ def test_benchmark_report_structure(run_config, prior, reward_model):
 
 def test_sweep_alpha_structure(run_config, prior, reward_model):
     cfg = _tiny_config(run_config, n=3)
-    report = la.sweep_alpha(cfg, prior, reward_model, alphas=(0.0, 1.0), workers=1)
+    cfg = dataclasses.replace(cfg, alphas=(0.0, 1.0))
+    report = la.sweep_alpha(cfg, prior, reward_model, workers=1)
     assert report.kind == "alpha-sweep"
+    assert report.to_json_dict()["config"]["sweeps"]["alphas"] == [0.0, 1.0]
     assert [a.arm for a in report.arms] == ["baseline", "reasoner", "reasoner"]
     assert [a.alpha for a in report.arms] == [1.0, 0.0, 1.0]
     # the alpha=1.0 reasoner arm must replicate the baseline seed by seed
@@ -312,8 +354,8 @@ def test_ablate_reward_structure(run_config, prior, reward_model, demos):
 
 def test_sweep_model_error_structure(run_config, prior, reward_model):
     cfg = _tiny_config(run_config, n=3)
-    report = la.sweep_model_error(cfg, prior, reward_model,
-                                  epsilons=(0.0, 0.02), workers=1)
+    cfg = dataclasses.replace(cfg, epsilons=(0.0, 0.02))
+    report = la.sweep_model_error(cfg, prior, reward_model, workers=1)
     assert report.kind == "model-error-sweep"
     assert [a.arm for a in report.arms] == ["baseline", "reasoner", "reasoner"]
     assert [a.epsilon for a in report.arms] == [0.0, 0.0, 0.02]
@@ -321,9 +363,9 @@ def test_sweep_model_error_structure(run_config, prior, reward_model):
 
 def test_sweep_rejects_empty_grids(run_config, prior, reward_model):
     with pytest.raises(ValueError):
-        la.sweep_alpha(run_config, prior, reward_model, alphas=())
+        la.sweep_alpha(dataclasses.replace(run_config, alphas=()), prior, reward_model)
     with pytest.raises(ValueError):
-        la.sweep_model_error(run_config, prior, reward_model, epsilons=())
+        la.sweep_model_error(dataclasses.replace(run_config, epsilons=()), prior, reward_model)
 
 
 # --- pinned report bytes ------------------------------------------------------

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from lookahead import bench
 from lookahead.bench import RunConfig
-from lookahead.cli import main
+from lookahead.cli import EVALUATIONS, main
 
 TINY = {
     "task": {"kind": "stack"},
@@ -146,6 +147,15 @@ def test_invalid_config_exits_two(tmp_path):
     (dict(TINY, serch={"k": 4}), "unknown config section 'serch'"),
     (dict(TINY, bench={"n_epsiodes": 4}), "unknown key 'n_epsiodes' in config section 'bench'"),
     (dict(TINY, sweeps={"alpha": [0.5]}), "unknown key 'alpha' in config section 'sweeps'"),
+    (dict(TINY, task={"kind": "stack", "horizn": 5}), "unknown key 'horizn' for task kind 'stack'"),
+    (dict(TINY, task={"kind": "stack", "zone_radius": 0.1}),
+     "unknown key 'zone_radius' for task kind 'stack'"),
+    (dict(TINY, bench=[]), "config section 'bench' must be a JSON object, got list"),
+    ([], "a config must be a JSON object, got list"),
+    (dict(TINY, bench={"n_episodes": 2.5}), "n_episodes must be an integer, got 2.5"),
+    (dict(TINY, bench={"n_episodes": True}), "n_episodes must be an integer, got True"),
+    (dict(TINY, search={"k": True}), "k must be an integer, got True"),
+    (dict(TINY, sweeps={"alphas": []}), "the alpha and epsilon sweep grids must be non-empty"),
 ])
 def test_unknown_config_keys_exit_two(tmp_path, capsys, doc, named):
     cfg = tmp_path / "config.json"
@@ -154,6 +164,24 @@ def test_unknown_config_keys_exit_two(tmp_path, capsys, doc, named):
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert f"invalid config: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(EVALUATIONS))
+@pytest.mark.parametrize("change, named", [
+    ({"policy": {"chunk_len": 2}}, "prior dimension 4 does not match chunk_len 2"),
+    ({"task": {"kind": "pick-place"}},
+     "reward model with 21 feature weights does not match task 'pick-place' (15 features)"),
+])
+def test_mismatched_artifacts_exit_one_before_any_episode(workdir, monkeypatch, capsys,
+                                                          command, change, named):
+    root, _, out = workdir
+    cfg = root / f"mismatch-{command}.json"
+    cfg.write_text(json.dumps(dict(TINY, **change)), encoding="utf-8")
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert f"ValueError: {named}" in capsys.readouterr().err
+    assert episodes == []
 
 
 def test_readme_example_config_parses():

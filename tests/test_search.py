@@ -107,7 +107,7 @@ def test_config_rejects_bad_values(kwargs):
 def test_config_dict_round_trip():
     cfg = SearchConfig(k=4, pool_size=32, alpha=0.3, sampler="noise",
                        noise_sigma=0.02)
-    assert SearchConfig.from_dict(cfg.to_dict()) == cfg
+    assert la.RunConfig.from_dict({"search": cfg.to_dict()}).search == cfg
 
 
 # --- expand ---------------------------------------------------------------

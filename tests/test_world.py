@@ -295,6 +295,30 @@ def test_task_spec_validation():
     assert la.TaskSpec.from_dict(spec.to_dict()) == spec
 
 
+@pytest.mark.parametrize("spec", [
+    la.TaskSpec(kind=la.Stack(src=1, dst=0), horizon=60),
+    la.TaskSpec(kind=la.PickPlace(zone_center=(0.6, 0.4, 0.0), zone_radius=0.08)),
+    la.TaskSpec(kind=la.FollowCircle(center=(0.4, 0.5, 0.1), n_waypoints=5), tolerance=0.03),
+])
+def test_task_spec_dict_keys_are_the_kind_fields(spec):
+    doc = spec.to_dict()
+    kind_keys = [f.name for f in dataclasses.fields(spec.kind)]
+    assert list(doc) == ["kind", *kind_keys, "horizon", "tolerance"]
+    assert doc == json.loads(json.dumps(doc))  # plain JSON values: lists, not tuples
+    assert la.TaskSpec.from_dict(doc) == spec
+    assert la.TaskSpec.from_dict({"kind": doc["kind"]}) == la.TaskSpec(kind=type(spec.kind)())
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"kind": "stack", "horizn": 5}, "horizn"),
+    ({"kind": "stack", "zone_radius": 0.1}, "zone_radius"),
+    ({"kind": "follow-circle", "src": 0}, "src"),
+])
+def test_task_spec_rejects_keys_of_other_kinds(doc, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}' for task kind '{doc['kind']}'"):
+        la.TaskSpec.from_dict(doc)
+
+
 def test_grasp_radius_is_strict_boundary(stack_task):
     import dataclasses
 
