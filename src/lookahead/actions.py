@@ -14,6 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 DELTA_BOUND = 0.05  # per-axis position delta limit, workspace units per step
+DELTA_LIMIT = DELTA_BOUND + 1e-12  # the bound as checked, with slack for float noise
 GRIP_THRESHOLD = 0.5  # grip values at or above this count as closed
 ACTION_DIM = 4  # three deltas plus one grip channel
 MAX_CHUNK_LEN = 8  # longest chunk treated as a single search entity
@@ -27,15 +28,19 @@ class Action:
     grip: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
-        object.__setattr__(self, "grip", float(self.grip))
-        if len(self.delta) != 3:
-            raise ValueError(f"delta needs 3 components, got {len(self.delta)}")
-        if not all(math.isfinite(d) for d in self.delta) or not math.isfinite(self.grip):
+        delta = tuple(map(float, self.delta))
+        grip = float(self.grip)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "grip", grip)
+        if len(delta) != 3:
+            raise ValueError(f"delta needs 3 components, got {len(delta)}")
+        dx, dy, dz = delta
+        isfinite = math.isfinite
+        if not (isfinite(dx) and isfinite(dy) and isfinite(dz) and isfinite(grip)):
             raise ValueError("action components must be finite")
-        if any(abs(d) > DELTA_BOUND + 1e-12 for d in self.delta):
+        if abs(dx) > DELTA_LIMIT or abs(dy) > DELTA_LIMIT or abs(dz) > DELTA_LIMIT:
             raise ValueError(f"delta component outside the per-step bound {DELTA_BOUND}")
-        if not 0.0 <= self.grip <= 1.0:
+        if not 0.0 <= grip <= 1.0:
             raise ValueError("grip must lie in [0, 1]")
 
     @property
@@ -68,8 +73,9 @@ class ActionChunk:
         object.__setattr__(self, "actions", tuple(self.actions))
         if not 1 <= len(self.actions) <= MAX_CHUNK_LEN:
             raise ValueError(f"chunk length must be in [1, {MAX_CHUNK_LEN}], got {len(self.actions)}")
-        if not all(isinstance(a, Action) for a in self.actions):
-            raise TypeError("chunk entries must be Action instances")
+        for a in self.actions:
+            if not isinstance(a, Action):
+                raise TypeError("chunk entries must be Action instances")
 
     def __len__(self) -> int:
         return len(self.actions)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .actions import ACTION_DIM, Action, MAX_CHUNK_LEN
-from .errors import DataError, require_ints
+from .errors import DataError, require_types
 from .kde import KdePrior, fit_kde
 from .policies import DriftPolicy, ExpertPolicy
 from .records import EpisodeResult, Trajectory, action_matrix, read_trajectories, write_trajectories
@@ -52,7 +52,7 @@ class PolicyParams:
     chunk_len: int = 1
 
     def __post_init__(self) -> None:
-        require_ints(self)
+        require_types(self)
         if self.eta < 0 or self.sigma < 0:
             raise ValueError("eta and sigma must be non-negative")
         if not 1 <= self.chunk_len <= MAX_CHUNK_LEN:
@@ -99,7 +99,7 @@ class RunConfig:
     epsilons: tuple[float, ...] = (0.0, 0.005, 0.01, 0.02, 0.05)
 
     def __post_init__(self) -> None:
-        require_ints(self)
+        require_types(self)
         if self.n_episodes < 1:
             raise ValueError("n_episodes must be >= 1")
         if self.demo_count < 1:
@@ -198,7 +198,8 @@ def generate_demos(task: TaskSpec, n: int, seed: int,
 
 
 def load_demos(path: str | Path) -> list[Trajectory]:
-    trajs = read_trajectories(path, Observation.from_dict)
+    """The file's trajectories; each distinct task dict in it is parsed once."""
+    trajs = read_trajectories(path, functools.partial(Observation.from_dict, tasks={}))
     if not trajs:
         raise DataError(f"no trajectories in {path}")
     return trajs

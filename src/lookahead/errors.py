@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of config fields."""
+"""Exception types shared across the package, and the type check of config fields."""
 
 import dataclasses
 import functools
@@ -12,15 +12,37 @@ class StateError(RuntimeError):
     """An operation was applied to an object in the wrong state."""
 
 
+def _is_number(value: object) -> bool:
+    return type(value) is int or isinstance(value, float)  # a bool is neither
+
+
+def _are_numbers(value: object) -> bool:
+    return isinstance(value, (tuple, list)) and all(_is_number(v) for v in value)
+
+
+# field annotation -> (test of a value, what a value must be)
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+    "str | float": (lambda v: isinstance(v, str) or _is_number(v), "a number or a rule name"),
+    "tuple[float, ...]": (_are_numbers, "a list of numbers"),
+    "tuple[float, float, float]": (lambda v: _are_numbers(v) and len(v) == 3, "a list of 3 numbers"),
+}
+
+
 @functools.cache
-def _int_fields(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls) if f.type in (int, "int"))
+def _typed_fields(cls: type) -> tuple[tuple[str, object, str], ...]:
+    return tuple((f.name, *_FIELD_TYPES[f.type]) for f in dataclasses.fields(cls)
+                 if f.type in _FIELD_TYPES)
 
 
-def require_ints(obj: object) -> None:
-    """Raise ValueError naming the first ``int``-annotated field of dataclass ``obj``
-    that does not hold a plain int (a bool does not count)."""
-    for name in _int_fields(type(obj)):
+def require_types(obj: object) -> None:
+    """Raise ValueError naming the first ``int``- or ``float``-annotated field of
+    dataclass ``obj`` whose value does not fit: an int field holds a plain int, a
+    float field an int or a float, a float tuple a list or tuple of them; a bool
+    is none of these."""
+    for name, test, what in _typed_fields(type(obj)):
         value = getattr(obj, name)
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not test(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")

@@ -9,11 +9,26 @@ weight (the search composes the two for the candidates it keeps).
 Density of a query ``a`` over support points ``a_1..a_N`` with bandwidth h:
 
     p(a) = (1/N) * sum_i (2*pi)^(-d/2) * h^(-d) * exp(-||a - a_i||^2 / (2 h^2))
+
+The kernel has compact support in floating point: exp(x) rounds to +0.0 for
+every x below about -745.13. ``density`` therefore evaluates only the support
+points whose coordinate along the support's widest axis lies in
+[min_j q_j - r, max_j q_j + r] over the queries q_j, with r = sqrt(750 * 2h^2),
+and leaves every other term at +0.0. That is exact, not an approximation. A
+point outside the window lies at least r from every query in that one
+coordinate (up to rounding far inside the margin between 750 and 745.13), and
+its squared distance, a float sum of non-negative squares, is at least that
+coordinate's rounded square. Its exponent is therefore below -745.13, and its
+term is +0.0 in the full formula too. Every term keeps its original position,
+so the mean sums the same values in the same order. A NaN makes every term
+NaN, so a query holding a NaN or an infinity takes the whole support; the
+rounding bound needs a finite support, which ``KdePrior`` enforces.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -26,6 +41,9 @@ from .errors import DataError
 # Rule-based bandwidths collapse when the support has no spread; fall back to
 # a tiny positive width instead of a degenerate zero.
 ZERO_SPREAD_BANDWIDTH = 1e-3
+# a kernel term is exactly +0.0 once ||a - a_i||^2 / (2 h^2) exceeds about
+# 745.13; density's window keeps the points below this exponent
+_CUTOFF_EXPONENT = 750.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,12 +55,21 @@ class KdePrior:
     bandwidth_rule: str  # "scott", "silverman", or "fixed"
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("support points must form a non-empty (n, d) matrix")
+        if not np.isfinite(pts).all():
+            raise ValueError("support points must be finite")
+        pts.flags.writeable = False  # an own, fixed copy: sorted_support is derived from it
         object.__setattr__(self, "points", pts)
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be a positive finite real")
+
+    def __getstate__(self) -> dict:
+        # the sorted support is rebuilt on demand, so pickles stay the size of the fields
+        state = self.__dict__.copy()
+        state.pop("sorted_support", None)
+        return state
 
     @property
     def dim(self) -> int:
@@ -51,6 +78,15 @@ class KdePrior:
     @property
     def n_points(self) -> int:
         return int(self.points.shape[0])
+
+    @functools.cached_property
+    def sorted_support(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(key, order, points[order], points[order, key]): the support sorted
+        along its widest coordinate ``key``, built on first use."""
+        key = int(np.argmax(np.ptp(self.points, axis=0)))
+        order = np.argsort(self.points[:, key], kind="stable")
+        pts = self.points[order]
+        return key, order, pts, pts[:, key].copy()
 
 
 @dataclasses.dataclass
@@ -108,7 +144,7 @@ def fit_kde(actions: np.ndarray, bandwidth: str | float = "scott") -> KdePrior:
         if not (math.isfinite(h) and h > 0):
             raise ValueError("fixed bandwidth must be a positive finite real")
         rule = "fixed"
-    return KdePrior(points=pts.copy(), bandwidth=h, bandwidth_rule=rule)
+    return KdePrior(points=pts, bandwidth=h, bandwidth_rule=rule)
 
 
 def sample(
@@ -153,7 +189,11 @@ def noise_sample(
 
 
 def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
-    """Evaluate the KDE at one query vector (d,) or a batch (m, d)."""
+    """Evaluate the KDE at one query vector (d,) or a batch (m, d).
+
+    Only the support points inside the cutoff window are evaluated; the rest
+    keep their exact +0.0 terms (see the module docstring).
+    """
     q = np.asarray(a, dtype=float)
     single = q.ndim == 1
     q2 = np.atleast_2d(q)
@@ -161,18 +201,31 @@ def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"query dimension {q2.shape[1]} does not match prior dimension {prior.dim}")
     h = prior.bandwidth
     d = prior.dim
-    # The (q, n, d) differences a - a_i, one contiguous subtraction per query:
-    # the same values and layout as the broadcast q2[:, None] - points[None],
-    # without the cost of a three-axis broadcast.
-    diffs = np.empty((q2.shape[0], prior.n_points, d))
-    for i, query in enumerate(q2):
-        np.subtract(query, prior.points, out=diffs[i])
-    sq = np.einsum("qnd,qnd->qn", diffs, diffs)
+    two_h2 = 2.0 * h * h
+    key, order, points, keys = prior.sorted_support
+    lo, hi = 0, prior.n_points
+    if np.isfinite(q2).all():
+        r = math.sqrt(_CUTOFF_EXPONENT * two_h2)
+        qk = q2[:, key].tolist()
+        lo = int(np.searchsorted(keys, min(qk) - r, "left"))
+        hi = int(np.searchsorted(keys, max(qk) + r, "right"))
+    # The (q, w, d) differences a - a_i as one subtraction over whole rows: each
+    # query repeated once per window point, minus the flattened window. The same
+    # values and layout as the broadcast q2[:, None] - window[None], whose inner
+    # loops would run over d alone.
+    diffs = np.tile(q2, (1, hi - lo))
+    diffs -= points[lo:hi].reshape(1, -1)
+    diffs = diffs.reshape(q2.shape[0], hi - lo, d)
+    near = np.einsum("qnd,qnd->qn", diffs, diffs)
     # exp(-||a - a_i||^2 / (2 h^2)) in place; (-x) / y == x / (-y) exactly
-    sq /= -(2.0 * h * h)
-    np.exp(sq, out=sq)
+    near /= -two_h2
+    np.exp(near, out=near)
+    # every term at its support point's original position, so the mean sums
+    # the same values in the same order as over the whole support
+    terms = np.zeros((q2.shape[0], prior.n_points))
+    terms[:, order[lo:hi]] = near
     norm = (2.0 * math.pi) ** (-d / 2.0) * h ** (-d)
-    vals = norm * sq.mean(axis=1)
+    vals = norm * terms.mean(axis=1)
     return float(vals[0]) if single else vals
 
 
@@ -185,7 +238,8 @@ def top_k_near(pool: SamplePool, k: int) -> np.ndarray:
     n = pool.candidates.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    dists = np.linalg.norm(pool.candidates - pool.anchor[None, :], axis=1)
+    diff = pool.candidates - pool.anchor[None, :]
+    dists = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm(diff, axis=1)
     order = np.argsort(dists, kind="stable")[:k]
     return pool.candidates[order].copy()
 
@@ -203,16 +257,18 @@ def weights_from_densities(densities: np.ndarray, total_budget: int) -> np.ndarr
         raise ValueError("need at least one density")
     if total_budget < m:
         raise ValueError(f"total_budget must be >= {m}, got {total_budget}")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("densities must be finite and non-negative")
+    vals = p.tolist()
+    for x in vals:
+        if not 0.0 <= x < math.inf:
+            raise ValueError("densities must be finite and non-negative")
     total = float(p.sum())
+    spare = total_budget - m
     if total <= 0.0:
         # all densities underflowed to zero: split the budget evenly
-        shares = np.full(m, 1.0 / m)
-    else:
-        shares = p / total
-    raw = (total_budget - m) * shares
-    return (1 + np.ceil(raw - 1e-9).astype(int)).astype(int)
+        return np.array([1 + math.ceil(spare * (1.0 / m) - 1e-9)] * m)
+    # per candidate in Python floats: the same two roundings as numpy's
+    # p / total then spare * share, without the small-array overhead
+    return np.array([1 + math.ceil(spare * (x / total) - 1e-9) for x in vals])
 
 
 def prior_to_json(prior: KdePrior) -> str:

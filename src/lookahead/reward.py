@@ -12,6 +12,7 @@ model)`` and ``FrameBankScorer(bank)``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import warnings
 from pathlib import Path
@@ -50,11 +51,24 @@ class RewardModel:
     train_mse: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float).ravel())
+        weights = np.array(self.weights, dtype=float).ravel()
+        weights.flags.writeable = False  # an own, fixed copy: head is derived from it
+        object.__setattr__(self, "weights", weights)
         if self.weights.size < 2:
             raise ValueError("weights must cover at least one feature plus the bias")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
+
+    def __getstate__(self) -> dict:
+        # the split weights are rebuilt on demand, so pickles stay the size of the fields
+        state = self.__dict__.copy()
+        state.pop("head", None)
+        return state
+
+    @functools.cached_property
+    def head(self) -> tuple[np.ndarray, np.float64]:
+        """(feature weights, bias): ``weights`` split once, on first use."""
+        return self.weights[:-1], self.weights[-1]
 
 
 def downsample(traj: Trajectory, stride: int) -> list[Observation]:
@@ -125,11 +139,12 @@ def fit_reward(
 def predict_reward(model: RewardModel, obs: Observation) -> float:
     """Predicted progress for a state, clamped to [0, 1]."""
     feats = render_features(obs)
-    if feats.size + 1 != model.weights.size:
+    head, bias = model.head
+    if feats.size != head.size:
         raise ValueError(
-            f"feature length {feats.size} does not match model with {model.weights.size - 1} feature weights"
+            f"feature length {feats.size} does not match model with {head.size} feature weights"
         )
-    raw = float(feats @ model.weights[:-1] + model.weights[-1])
+    raw = float(feats @ head + bias)
     return min(1.0, max(0.0, raw))
 
 

@@ -30,7 +30,7 @@ from .actions import (
     flatten_chunk,
     unflatten_chunk,
 )
-from .errors import StateError, require_ints
+from .errors import StateError, require_types
 from .kde import KdePrior, SamplePool, noise_sample, sample, top_k_near, weights_from_densities, density
 from .seeding import derive_seed
 from .world import Observation
@@ -61,7 +61,7 @@ class SearchConfig:
     blend_chunk: str = "first"  # "first" | "all"
 
     def __post_init__(self) -> None:
-        require_ints(self)
+        require_types(self)
         if not 1 <= self.k <= self.pool_size:
             raise ValueError(f"k must be in [1, pool_size={self.pool_size}]")
         if self.max_depth < 1:

@@ -19,8 +19,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .actions import Action, DELTA_BOUND
-from .errors import require_ints
+from .actions import Action, DELTA_LIMIT
+from .errors import require_types
 from .seeding import derive_seed, rng_from
 
 GRASP_RADIUS = 0.03  # closing within this distance of a center attaches the object
@@ -81,14 +81,14 @@ class TaskSpec:
     tolerance: float = 0.04
 
     def __post_init__(self) -> None:
-        require_ints(self)
+        require_types(self)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be a positive real")
         kind = self.kind
         n_obj = len(_NOMINAL_XY[type(kind)])
-        require_ints(kind)
+        require_types(kind)
         if isinstance(kind, Stack):
             if not (0 <= kind.src < n_obj and 0 <= kind.dst < n_obj) or kind.src == kind.dst:
                 raise ValueError("stack needs two distinct valid object indices")
@@ -171,13 +171,25 @@ class Observation:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Observation":
+    def from_dict(cls, doc: dict, tasks: dict[str, TaskSpec] | None = None) -> "Observation":
+        """Parse ``to_dict``'s form. ``tasks`` memoizes parsed task specs across
+        calls, keyed by the task dict's ``repr``, so a spec is reused only for a
+        task dict with the same keys, values and value types (``1``, ``1.0`` and
+        ``True`` each parse and validate on their own)."""
+        task_doc = doc["task"]
+        if tasks is None:
+            task = TaskSpec.from_dict(task_doc)
+        else:
+            key = repr(task_doc)
+            task = tasks.get(key)
+            if task is None:
+                task = tasks[key] = TaskSpec.from_dict(task_doc)
         return cls(
             gripper_pos=tuple(doc["gripper_pos"]),
             grip_closed=doc["grip_closed"],
             held_object=doc["held_object"],
             objects=tuple(ObjectState(tuple(o["pos"]), o["half_size"]) for o in doc["objects"]),
-            task=TaskSpec.from_dict(doc["task"]),
+            task=task,
             step_index=doc["step_index"],
             waypoints_hit=doc.get("waypoints_hit", 0),
         )
@@ -247,15 +259,14 @@ def _settle(me: ObjectState, supports: Iterable[ObjectState], tolerance: float) 
 
 def step(obs: Observation, action: Action) -> Observation:
     """One transition. Pure: same (obs, action) always yields the same state."""
-    if any(abs(d) > DELTA_BOUND + 1e-12 for d in action.delta):
+    dx, dy, dz = action.delta
+    if abs(dx) > DELTA_LIMIT or abs(dy) > DELTA_LIMIT or abs(dz) > DELTA_LIMIT:
         raise ValueError("action delta outside the per-step bound")
     if not 0.0 <= action.grip <= 1.0:
         raise ValueError("action grip outside [0, 1]")
 
-    gx = _clip01(obs.gripper_pos[0] + action.delta[0])
-    gy = _clip01(obs.gripper_pos[1] + action.delta[1])
-    gz = _clip01(obs.gripper_pos[2] + action.delta[2])
-    gp = (gx, gy, gz)
+    px, py, pz = obs.gripper_pos
+    gp = (_clip01(px + dx), _clip01(py + dy), _clip01(pz + dz))
 
     objects = list(obs.objects)
     held = obs.held_object

@@ -30,6 +30,55 @@ def test_action_validates_bounds():
         Action((float("nan"), 0.0, 0.0), 0.0)
 
 
+_LIMIT = DELTA_BOUND + 1e-12  # the bound as checked, with slack for float noise
+_ABOVE = math.nextafter(_LIMIT, math.inf)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_action_delta_bound_at_its_last_float(axis, sign):
+    delta = [0.0, 0.0, 0.0]
+    delta[axis] = sign * _LIMIT
+    assert Action(tuple(delta), 0.5).delta[axis] == sign * _LIMIT
+    delta[axis] = sign * _ABOVE
+    with pytest.raises(ValueError, match=r"^delta component outside the per-step bound 0.05$"):
+        Action(tuple(delta), 0.5)
+
+
+@pytest.mark.parametrize("component", [0, 1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_action_rejects_non_finite_components(component, bad):
+    values = [0.0, 0.0, 0.0, 0.5]
+    values[component] = bad
+    with pytest.raises(ValueError, match="^action components must be finite$"):
+        Action(tuple(values[:3]), values[3])
+
+
+@pytest.mark.parametrize("delta", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ()])
+def test_action_needs_three_delta_components(delta):
+    with pytest.raises(ValueError, match=f"^delta needs 3 components, got {len(delta)}$"):
+        Action(delta, 0.5)
+
+
+def test_action_grip_range():
+    for grip in (0.0, -0.0, 1.0, 0.5, True):
+        assert Action((0.0, 0.0, 0.0), grip).grip == float(grip)
+    for grip in (math.nextafter(0.0, -math.inf), math.nextafter(1.0, math.inf), -1.0, 2.0):
+        with pytest.raises(ValueError, match=r"^grip must lie in \[0, 1\]$"):
+            Action((0.0, 0.0, 0.0), grip)
+
+
+def test_action_converts_components_to_floats():
+    a = Action([np.float64(0.01), 0, np.int64(0)], np.float64(1.0))
+    assert a.delta == (0.01, 0.0, 0.0) and all(type(v) is float for v in a.delta)
+    assert type(a.grip) is float
+
+
+def test_chunk_rejects_non_action_entries():
+    with pytest.raises(TypeError, match="^chunk entries must be Action instances$"):
+        ActionChunk((Action.zero(), (0.0, 0.0, 0.0, 0.0)))
+
+
 def test_grip_threshold():
     assert Action((0, 0, 0), 0.5).grip_closed
     assert not Action((0, 0, 0), 0.49).grip_closed

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -80,6 +81,64 @@ def test_integer_fields_reject_bools_and_non_integers(make, name, value):
         make(**{name: value})
 
 
+def _task_of(kind):
+    """A TaskSpec factory that passes its keywords to the task kind."""
+    return lambda **kw: la.TaskSpec(kind=kind(**kw))
+
+
+@pytest.mark.parametrize("make, name, what", [
+    (la.RunConfig, "ridge_lambda", "a number"),
+    (la.RunConfig, "prior_bandwidth", "a number or a rule name"),
+    (PolicyParams, "eta", "a number"),
+    (PolicyParams, "sigma", "a number"),
+    *((la.SearchConfig, name, "a number") for name in ("c", "alpha", "epsilon_model")),
+    (la.SearchConfig, "noise_sigma", "a number or null"),
+    (lambda **kw: la.TaskSpec(kind=la.Stack(), **kw), "tolerance", "a number"),
+    (_task_of(la.PickPlace), "zone_radius", "a number"),
+    (_task_of(la.FollowCircle), "radius", "a number"),
+])
+@pytest.mark.parametrize("value", [True, [0.5], {}])
+def test_float_fields_reject_bools_and_non_numbers(make, name, what, value):
+    with pytest.raises(ValueError, match=f"^{name} must be {what}, got {re.escape(repr(value))}$"):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["c", "alpha", "epsilon_model"])
+def test_float_fields_name_a_string(name):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got '0.5'$"):
+        la.SearchConfig(**{name: "0.5"})
+
+
+@pytest.mark.parametrize("make, name, what", [
+    (la.RunConfig, "alphas", "a list of numbers"),
+    (la.RunConfig, "epsilons", "a list of numbers"),
+    (_task_of(la.PickPlace), "zone_center", "a list of 3 numbers"),
+    (_task_of(la.FollowCircle), "center", "a list of 3 numbers"),
+])
+@pytest.mark.parametrize("value", [(0.5, True, 0.5), (0.5, "0.1", 0.0), "0.5", 0.5, None])
+def test_float_tuple_fields_reject_non_numbers(make, name, what, value):
+    with pytest.raises(ValueError, match=f"^{name} must be {what}, got {re.escape(repr(value))}$"):
+        make(**{name: value})
+
+
+def test_float_fields_accept_ints_and_keep_them():
+    doc = {
+        "task": {"kind": "pick-place", "zone_center": [1, 0, 0], "zone_radius": 1, "tolerance": 1},
+        "policy": {"eta": 0, "sigma": 1},
+        "search": {"c": 1, "alpha": 1, "epsilon_model": 0, "noise_sigma": 1},
+        "prior": {"bandwidth": 1},
+        "reward": {"ridge_lambda": 2},
+        "sweeps": {"alphas": [0, 1], "epsilons": [0]},
+    }
+    config = la.RunConfig.from_dict(doc)
+    again = config.to_dict()
+    for section, body in doc.items():
+        for key, value in body.items():
+            if section != "sweeps":
+                assert again[section][key] == value and type(again[section][key]) is type(value)
+    assert config.alphas == (0.0, 1.0) and config.epsilons == (0.0,)
+
+
 def test_episode_seeds_are_stable_and_distinct(run_config):
     seeds = episode_seeds(run_config)
     assert seeds == episode_seeds(run_config)
@@ -96,6 +155,35 @@ def test_generate_demos_expert_competence(demo_files, run_config):
     assert summary["attempted"] == run_config.demo_count
     assert summary["kept"] >= 45  # the scripted expert rarely misses
     assert len(la.load_demos(demo_files[0])) == summary["kept"]
+
+
+def _first_demo_record(demo_files):
+    return json.loads(demo_files[0].read_text(encoding="utf-8").splitlines()[0])
+
+
+def test_load_demos_parses_each_distinct_task_dict_once(tmp_path, demo_files, stack_task):
+    first, second = _first_demo_record(demo_files), _first_demo_record(demo_files)
+    for frame in second["frames"]:
+        frame["obs"]["task"]["horizon"] = 120
+    path = tmp_path / "two_tasks.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
+    a, b = la.load_demos(path)
+    assert len({id(obs.task) for obs, _ in a.frames}) == 1
+    assert {obs.task for obs, _ in a.frames} == {stack_task}
+    assert {obs.task for obs, _ in b.frames} == {dataclasses.replace(stack_task, horizon=120)}
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_load_demos_checks_each_distinct_task_dict(tmp_path, demo_files, value):
+    # 1, 1.0 and True are equal and hash alike; each still parses on its own
+    record = _first_demo_record(demo_files)
+    for frame in record["frames"]:
+        frame["obs"]["task"]["horizon"] = 1
+    record["frames"][-1]["obs"]["task"]["horizon"] = value
+    path = tmp_path / "later_frame.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^horizon must be an integer, got {value!r}$"):
+        la.load_demos(path)
 
 
 def test_generate_demos_kept_end_in_success(demos, stack_task):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,10 @@ def test_invalid_config_exits_two(tmp_path):
     (dict(TINY, bench={"n_episodes": True}), "n_episodes must be an integer, got True"),
     (dict(TINY, search={"k": True}), "k must be an integer, got True"),
     (dict(TINY, sweeps={"alphas": []}), "the alpha and epsilon sweep grids must be non-empty"),
+    (dict(TINY, policy={"eta": True}), "eta must be a number, got True"),
+    (dict(TINY, search={"c": True}), "c must be a number, got True"),
+    (dict(TINY, sweeps={"alphas": [True, 0.5]}), "alphas must be a list of numbers, got [True, 0.5]"),
+    (dict(TINY, search={"alpha": "0.5"}), "alpha must be a number, got '0.5'"),
 ])
 def test_unknown_config_keys_exit_two(tmp_path, capsys, doc, named):
     cfg = tmp_path / "config.json"
@@ -181,6 +186,26 @@ def test_mismatched_artifacts_exit_one_before_any_episode(workdir, monkeypatch, 
     monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert f"ValueError: {named}" in capsys.readouterr().err
+    assert episodes == []
+
+
+@pytest.mark.parametrize("value, token", [(math.nan, "NaN"), (math.inf, "Infinity")])
+def test_non_finite_prior_exits_one_before_any_episode(workdir, tmp_path, monkeypatch, capsys,
+                                                       value, token):
+    _, cfg, out = workdir
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("demos.jsonl", "reward.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    prior = json.loads((out / "prior.json").read_text(encoding="utf-8"))
+    prior["points"][1][0] = value
+    text = json.dumps(prior)
+    assert token in text
+    (bad / "prior.json").write_text(text, encoding="utf-8")
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    assert main(["run", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
+    assert "ValueError: support points must be finite" in capsys.readouterr().err
     assert episodes == []
 
 

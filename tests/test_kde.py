@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -135,6 +137,143 @@ def test_density_equals_the_broadcast_formula_bit_for_bit(d):
         assert isinstance(single, float) and single == want[0]
 
 
+def _window_r(h):
+    """The cutoff radius along the key coordinate: exp(-750) and beyond round to +0.0."""
+    return math.sqrt(750.0 * (2.0 * h * h))
+
+
+def _pruned_share(prior, queries):
+    """Share of the support farther than r from every query along the widest coordinate."""
+    key = int(np.argmax(np.ptp(prior.points, axis=0)))
+    qk = np.atleast_2d(queries)[:, key]
+    r = _window_r(prior.bandwidth)
+    col = prior.points[:, key]
+    return float(np.mean((col < qk.min() - r) | (col > qk.max() + r)))
+
+
+def _grip_support(rng, n, d):
+    """Uniform +-0.05 deltas with a binary grip channel per action, like a chunked demo prior."""
+    pts = rng.uniform(-0.05, 0.05, size=(n, d))
+    pts[:, 3::4] = rng.integers(0, 2, size=(n, d // 4))
+    return pts
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_density_skips_provably_zero_terms_bit_for_bit(d):
+    rng = np.random.default_rng(100 + d)
+    for trial in range(30):
+        pts = _grip_support(rng, int(rng.integers(60, 400)), d)
+        prior = fit_kde(pts, float(rng.uniform(0.004, 0.02)))
+        # queries near support points of one grip value: the other cluster is outside the window
+        grip = float(trial % 2)
+        same = pts[pts[:, 3] == grip]
+        queries = same[rng.integers(0, len(same), size=int(rng.integers(1, 12)))]
+        queries = queries + rng.normal(0.0, prior.bandwidth, size=queries.shape)
+        assert _pruned_share(prior, queries) >= 0.3
+        # queries straddling both clusters keep the whole support
+        both = np.concatenate([queries, pts[pts[:, 3] != grip][:2]])
+        for q in (queries, both, queries[0]):
+            got = np.atleast_1d(density(prior, q))
+            want = _broadcast_density(prior, q)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t", [30.0, 34.0, 36.0, 37.5, 38.2, 38.4])
+def test_density_window_edge_is_exact(t):
+    # support points along the key coordinate at r and one ulp either side of it,
+    # and the nearest ones t bandwidths away, whose terms are tiny but not zero
+    h = 0.01
+    r = _window_r(h)
+    for q in (0.0, 0.3, -0.7, 1.0):
+        key_vals = [q + 3.0, q - 3.0]  # far outside
+        for side in (-1.0, 1.0):
+            edge = q + side * r
+            key_vals += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+            key_vals.append(q + side * t * h)
+        pts = np.zeros((len(key_vals), 4))
+        pts[:, 2] = key_vals
+        prior = KdePrior(points=pts, bandwidth=h, bandwidth_rule="fixed")
+        query = np.array([0.0, 0.0, q, 0.0])
+        want = _broadcast_density(prior, query)
+        assert want[0] > 0.0  # the terms inside r count
+        assert density(prior, query) == want[0]
+        assert np.atleast_1d(density(prior, query[None, :])).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_density_of_non_finite_queries_matches_the_formula(bad):
+    rng = np.random.default_rng(21)
+    for d in (4, 16):
+        pts = _grip_support(rng, 80, d)
+        prior = fit_kde(pts, 0.01)
+        far = pts[:3] + 0.001
+        far[:, 3] = 5.0  # no support point within r along the widest coordinate
+        for col, row, base in itertools.product(range(d), range(3), (pts[:3] + 0.001, far)):
+            queries = base.copy()
+            queries[row, col] = bad
+            for q in (queries, queries[row]):
+                got = np.atleast_1d(density(prior, q))
+                want = _broadcast_density(prior, q)
+                # a NaN term's sign bit follows the division by -2h^2, the reference negates
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+            assert math.isnan(got[0]) == math.isnan(bad)
+
+
+def test_density_on_duplicate_and_two_point_supports():
+    h = 0.01
+    supports = [
+        np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+        np.array([[0.01, 0.0, -0.02, 1.0]] * 5),
+        np.array([[0.01, 0.0, 0.0, 1.0]] * 3 + [[0.0, 0.0, 0.0, 0.0]] * 4 + [[0.01, 0.0, 0.0, 1.0]]),
+    ]
+    for pts in supports:
+        prior = KdePrior(points=pts, bandwidth=h, bandwidth_rule="fixed")
+        queries = np.concatenate([
+            pts + 0.003,
+            [[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, -1.0]],
+        ])
+        got = density(prior, queries)
+        assert got.tobytes() == _broadcast_density(prior, queries).tobytes()
+        for q in queries:
+            assert density(prior, q) == _broadcast_density(prior, q)[0]
+    assert density(prior, np.array([0.0, 0.0, 0.0, 3.0])) == 0.0  # empty window
+
+
+def test_prior_points_are_a_read_only_copy():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+    prior = KdePrior(points=pts, bandwidth=0.1, bandwidth_rule="fixed")
+    pts[0, 0] = 9.0
+    assert prior.points[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        prior.points[0, 0] = 1.0
+
+
+def test_sorted_support_is_not_pickled():
+    rng = np.random.default_rng(22)
+    prior = fit_kde(_grip_support(rng, 200, 4), 0.01)
+    before = pickle.dumps(prior)
+    first = density(prior, prior.points[:8])
+    assert "sorted_support" in vars(prior)
+    assert pickle.dumps(prior) == before
+    again = pickle.loads(before)
+    assert "sorted_support" not in vars(again)
+    assert density(again, prior.points[:8]).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prior_rejects_non_finite_support(bad):
+    with pytest.raises(ValueError, match="support points must be finite"):
+        KdePrior(points=[[0.0, bad], [1.0, 2.0]], bandwidth=0.1, bandwidth_rule="fixed")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_prior_json_with_non_finite_points_fails(token):
+    text = f'{{"dim": 2, "bandwidth": 0.1, "bandwidth_rule": "fixed", "points": [[0.0, {token}], [1.0, 2.0]]}}'
+    with pytest.raises(ValueError, match="support points must be finite"):
+        prior_from_json(text)
+
+
 def test_bounded_sample_equals_clipped_draws_bit_for_bit():
     rng = np.random.default_rng(8)
     for chunk_len in (1, 4):
@@ -250,6 +389,42 @@ def test_visit_weights_budget_precondition():
         weights_from_densities(np.ones(4), 3)
     with pytest.raises(ValueError):
         weights_from_densities(np.ones(0), 3)
+
+
+def _numpy_weights(densities, total_budget):
+    """The visit-weight formula in numpy array arithmetic: the reference."""
+    p = np.asarray(densities, dtype=float).ravel()
+    m = p.size
+    total = float(p.sum())
+    shares = np.full(m, 1.0 / m) if total <= 0.0 else p / total
+    return (1 + np.ceil((total_budget - m) * shares - 1e-9).astype(int)).astype(int)
+
+
+def test_visit_weights_equal_the_numpy_formula():
+    rng = np.random.default_rng(23)
+    for trial in range(4000):
+        m = int(rng.integers(1, 13))
+        budget = m + int(rng.integers(0, 120))
+        kind = trial % 4
+        if kind == 0:
+            p = np.zeros(m)  # all densities underflowed
+        elif kind == 1:
+            p = rng.exponential(size=m) * 10.0 ** float(rng.integers(-300, 300))
+        elif kind == 2:
+            p = rng.integers(0, 5, size=m).astype(float)  # exact shares and ties
+        else:
+            p = rng.uniform(size=m) * (rng.random(m) < 0.7)
+        got = weights_from_densities(p, budget)
+        want = _numpy_weights(p, budget)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (p, budget)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+def test_visit_weights_reject_bad_densities(bad):
+    with pytest.raises(ValueError, match="densities must be finite and non-negative"):
+        weights_from_densities(np.array([0.5, bad, 0.1]), 10)
+    assert np.array_equal(weights_from_densities(np.array([0.5, -0.0]), 10), [9, 1])
 
 
 def test_visit_weights_from_prior():

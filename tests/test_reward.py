@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -167,6 +168,33 @@ def test_predict_layout_mismatch(stack_task):
     obs = la.reset(stack_task, 31)
     with pytest.raises(ValueError):
         predict_reward(RewardModel("stack", np.zeros(5), 0.0), obs)
+
+
+def test_predict_equals_the_unsplit_formula_bit_for_bit(reward_model, demos):
+    w = reward_model.weights
+    for traj in demos[:5]:
+        for obs, _ in traj.frames:
+            want = min(1.0, max(0.0, float(render_features(obs) @ w[:-1] + w[-1])))
+            assert predict_reward(reward_model, obs) == want
+
+
+def test_model_weights_are_a_read_only_copy():
+    w = np.array([0.1, 0.2, 0.3])
+    model = RewardModel("stack", w, 0.0)
+    w[-1] = 5.0
+    assert model.weights[-1] == 0.3
+    with pytest.raises(ValueError):
+        model.weights[-1] = 1.0
+
+
+def test_split_weights_are_not_pickled(stack_task):
+    model = RewardModel("stack", np.linspace(-0.1, 0.1, la.feature_length(stack_task) + 1), 1.0)
+    before = pickle.dumps(model)
+    score = predict_reward(model, la.reset(stack_task, 3))
+    assert "head" in vars(model)
+    assert pickle.dumps(model) == before
+    again = pickle.loads(before)
+    assert "head" not in vars(again) and predict_reward(again, la.reset(stack_task, 3)) == score
 
 
 def test_predict_matches_trained_labels(reward_model, demos):
