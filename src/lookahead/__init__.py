@@ -15,7 +15,6 @@ from .actions import (
     MAX_CHUNK_LEN,
     action_bounds,
     blend_actions,
-    blend_vectors,
     flatten_chunk,
     unflatten_chunk,
 )
@@ -44,7 +43,6 @@ from .kde import (
     density,
     fit_kde,
     load_prior,
-    noise_sample,
     prior_from_json,
     prior_to_json,
     sample,

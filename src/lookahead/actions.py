@@ -110,30 +110,14 @@ def action_bounds(chunk_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return _BOUNDS[chunk_len]
 
 
-def blend_vectors(
-    proposal: np.ndarray,
-    searched: np.ndarray,
-    alpha: float,
-    lo: np.ndarray | None = None,
-    hi: np.ndarray | None = None,
-) -> np.ndarray:
-    """alpha * proposal + (1 - alpha) * searched, optionally clamped to [lo, hi]."""
+def blend_actions(proposal: Action, searched: Action, alpha: float) -> Action:
+    """alpha * proposal + (1 - alpha) * searched, clamped to the action bounds;
+    alpha=1 keeps the policy."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    av = np.asarray(proposal, dtype=float)
-    bv = np.asarray(searched, dtype=float)
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    out = alpha * av + (1.0 - alpha) * bv
-    if lo is not None or hi is not None:
-        out = np.clip(out, lo, hi)
-    return out
-
-
-def blend_actions(proposal: Action, searched: Action, alpha: float) -> Action:
-    """Blend the policy action with the searched action; alpha=1 keeps the policy."""
     lo, hi = action_bounds(1)
-    return Action.from_vector(blend_vectors(proposal.to_vector(), searched.to_vector(), alpha, lo, hi))
+    out = alpha * proposal.to_vector() + (1.0 - alpha) * searched.to_vector()
+    return Action.from_vector(np.clip(out, lo, hi))
 
 
 def flatten_chunk(chunk: ActionChunk) -> np.ndarray:

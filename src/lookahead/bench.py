@@ -117,6 +117,13 @@ class RunConfig:
             raise ValueError("the alpha and epsilon sweep grids must be non-empty")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        # each grid point is checked as the search config its arm will run
+        for grid, field in (("alphas", "alpha"), ("epsilons", "epsilon_model")):
+            for v in getattr(self, grid):
+                try:
+                    dataclasses.replace(self.search, **{field: v})
+                except ValueError as exc:
+                    raise ValueError(f"sweeps.{grid} entry {v!r}: {exc}") from None
 
     def to_dict(self) -> dict:
         doc = {}
@@ -417,31 +424,39 @@ def _learned_scorer(config: RunConfig, prior: KdePrior, reward_model: RewardMode
     return functools.partial(predict_reward, reward_model)
 
 
+def _sweep(kind: str, config: RunConfig, prior: KdePrior, reward_model: RewardModel,
+           workers: int | None, reasoners: Sequence[RunConfig]) -> BenchReport:
+    """A baseline arm plus one reasoner arm per config of ``reasoners``, all over the same seeds."""
+    scorer = _learned_scorer(config, prior, reward_model)
+    arms = [_arm(config, "baseline", workers, scorer)]
+    arms.extend(_arm(arm, "reasoner", workers, scorer, prior) for arm in reasoners)
+    return BenchReport(kind=kind, config=config, arms=tuple(arms))
+
+
 def run_benchmark(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                   workers: int | None = None) -> BenchReport:
     """Paired baseline-vs-reasoner evaluation over the same episode seeds."""
-    scorer = _learned_scorer(config, prior, reward_model)
-    baseline = _arm(config, "baseline", workers, scorer)
-    reasoner = _arm(config, "reasoner", workers, scorer, prior)
-    return BenchReport(kind="benchmark", config=config, arms=(baseline, reasoner))
+    return _sweep("benchmark", config, prior, reward_model, workers, [config])
 
 
 def sweep_alpha(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                 workers: int | None = None) -> BenchReport:
     """Baseline plus one reasoner arm per alpha of ``config.alphas``, all over the same seeds."""
-    scorer = _learned_scorer(config, prior, reward_model)
-    arms = [_arm(config, "baseline", workers, scorer)]
-    for a in config.alphas:
-        arms.append(_arm(_with_search(config, alpha=a), "reasoner", workers, scorer, prior))
-    return BenchReport(kind="alpha-sweep", config=config, arms=tuple(arms))
+    return _sweep("alpha-sweep", config, prior, reward_model, workers,
+                  [_with_search(config, alpha=a) for a in config.alphas])
 
 
 def ablate_sampling(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                     workers: int | None = None) -> BenchReport:
-    """KDE expansion vs Gaussian-noise expansion at matched sigma and pool size."""
+    """KDE expansion vs Gaussian-noise expansion at the same pool size.
+
+    The noise arm is the same search over the KDE of the anchor alone: a
+    one-point prior of bandwidth ``config.search.noise_sigma``, which defaults
+    to the fitted prior's bandwidth.
+    """
     scorer = _learned_scorer(config, prior, reward_model)
     kde = _with_search(config, sampler="kde")
-    noise = _with_search(config, sampler="noise", noise_sigma=prior.bandwidth)
+    noise = _with_search(config, sampler="noise")
     arms = (
         _arm(kde, "kde", workers, scorer, prior),
         _arm(noise, "noise", workers, scorer, prior),
@@ -465,8 +480,5 @@ def ablate_reward(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
 def sweep_model_error(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
                       workers: int | None = None) -> BenchReport:
     """Baseline plus one reasoner arm per world-model error level of ``config.epsilons``."""
-    scorer = _learned_scorer(config, prior, reward_model)
-    arms = [_arm(config, "baseline", workers, scorer)]
-    for eps in config.epsilons:
-        arms.append(_arm(_with_search(config, epsilon_model=eps), "reasoner", workers, scorer, prior))
-    return BenchReport(kind="model-error-sweep", config=config, arms=tuple(arms))
+    return _sweep("model-error-sweep", config, prior, reward_model, workers,
+                  [_with_search(config, epsilon_model=e) for e in config.epsilons])

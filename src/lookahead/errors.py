@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 
 
 class DataError(ValueError):
@@ -13,7 +14,8 @@ class StateError(RuntimeError):
 
 
 def _is_number(value: object) -> bool:
-    return type(value) is int or isinstance(value, float)  # a bool is neither
+    # a bool is neither; JSON NaN and Infinity parse to floats, but no setting takes them
+    return type(value) is int or (isinstance(value, float) and math.isfinite(value))
 
 
 def _are_numbers(value: object) -> bool:
@@ -40,8 +42,8 @@ def _typed_fields(cls: type) -> tuple[tuple[str, object, str], ...]:
 def require_types(obj: object) -> None:
     """Raise ValueError naming the first ``int``- or ``float``-annotated field of
     dataclass ``obj`` whose value does not fit: an int field holds a plain int, a
-    float field an int or a float, a float tuple a list or tuple of them; a bool
-    is none of these."""
+    float field an int or a finite float, a float tuple a list or tuple of them;
+    a bool is none of these."""
     for name, test, what in _typed_fields(type(obj)):
         value = getattr(obj, name)
         if not test(value):

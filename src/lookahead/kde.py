@@ -156,7 +156,9 @@ def sample(
     """Draw n actions: a uniform support point plus N(0, h^2 I) noise each.
 
     When the caller supplies action-space ``bounds`` the draws are clamped
-    componentwise; a bare prior has no intrinsic bounds.
+    componentwise; a bare prior has no intrinsic bounds. Over a one-point
+    prior this is plain Gaussian noise around that point: the search's noise
+    ablation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -165,26 +167,6 @@ def sample(
     draws = prior.points[idx] + rng.normal(0.0, prior.bandwidth, size=(n, prior.dim))
     if bounds is not None:
         np.clip(draws, bounds[0], bounds[1], out=draws)
-    return draws
-
-
-def noise_sample(
-    anchor: np.ndarray,
-    n: int,
-    sigma: float,
-    seed: int | np.random.Generator,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Ablation sampler: isotropic Gaussian perturbations of the anchor."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be a positive finite real")
-    rng = np.random.default_rng(seed)
-    base = np.asarray(anchor, dtype=float).ravel()
-    draws = base + rng.normal(0.0, sigma, size=(n, base.size))
-    if bounds is not None:
-        draws = np.clip(draws, bounds[0], bounds[1])
     return draws
 
 

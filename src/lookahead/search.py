@@ -31,7 +31,7 @@ from .actions import (
     unflatten_chunk,
 )
 from .errors import StateError, require_types
-from .kde import KdePrior, SamplePool, noise_sample, sample, top_k_near, weights_from_densities, density
+from .kde import KdePrior, SamplePool, sample, top_k_near, weights_from_densities, density
 from .seeding import derive_seed
 from .world import Observation
 
@@ -45,7 +45,9 @@ class SearchConfig:
 
     alpha is the injection weight: the executed action is
     alpha * policy + (1 - alpha) * searched, so alpha = 1 disables the search
-    entirely and alpha = 0 executes the searched action alone.
+    entirely and alpha = 0 executes the searched action alone. The "noise"
+    sampler is the "kde" one over a one-point prior: the node's incoming action
+    with bandwidth noise_sigma, or the fitted prior's bandwidth when that is None.
     """
 
     k: int = 8
@@ -121,7 +123,10 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
 
     Candidates are the k pool samples nearest the anchor; the anchor itself
     replaces the farthest of them so the policy proposal always stays in the
-    running. Initial visit counts come from the sampling density.
+    running. Initial visit counts come from the sampling density. The noise
+    ablation samples and weighs with the KDE over the anchor alone, a
+    one-point prior of bandwidth ``noise_sigma`` (the prior's by default), so
+    it differs from the method in the support it draws around and nothing else.
     """
     if node.children:
         raise StateError("node is already expanded")
@@ -135,15 +140,12 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
 
     if config.sampler == "noise":
         sigma = config.noise_sigma if config.noise_sigma is not None else prior.bandwidth
-        cands = noise_sample(anchor, config.pool_size, sigma, rng_seed, bounds)
-        weight_prior = KdePrior(points=anchor[None, :], bandwidth=sigma, bandwidth_rule="fixed")
-    else:
-        cands = sample(prior, config.pool_size, rng_seed, bounds)
-        weight_prior = prior
+        prior = KdePrior(points=anchor[None, :], bandwidth=sigma, bandwidth_rule="fixed")
 
+    cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
     chosen[-1] = anchor  # anchor injection
-    dens = np.atleast_1d(density(weight_prior, chosen))
+    dens = np.atleast_1d(density(prior, chosen))
     weights = weights_from_densities(dens, config.visit_budget)
 
     node.children = [
@@ -313,9 +315,7 @@ def act(
     if prior is None:
         raise ValueError("a fitted prior is required on search steps")
     result = run_search(obs, chunk, prior, world, reward, config, seed)
-    searched = unflatten_chunk(result.action, len(chunk))
-    if config.blend_chunk == "all":
-        blended = tuple(blend_actions(v, s, config.alpha) for v, s in zip(chunk, searched))
-    else:
-        blended = (blend_actions(chunk[0], searched[0], config.alpha),) + tuple(chunk.actions[1:])
-    return ActionChunk(blended)
+    n = len(chunk) if config.blend_chunk == "all" else 1
+    searched = unflatten_chunk(result.action[:n * ACTION_DIM], n)
+    blended = tuple(blend_actions(v, s, config.alpha) for v, s in zip(chunk, searched))
+    return ActionChunk(blended + chunk.actions[n:])

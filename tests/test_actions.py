@@ -14,7 +14,6 @@ from lookahead.actions import (
     ActionChunk,
     action_bounds,
     blend_actions,
-    blend_vectors,
     flatten_chunk,
     unflatten_chunk,
 )
@@ -125,11 +124,6 @@ def test_blend_rejects_bad_alpha():
         blend_actions(a, a, -0.1)
     with pytest.raises(ValueError):
         blend_actions(a, a, 1.1)
-
-
-def test_blend_vectors_shape_check():
-    with pytest.raises(ValueError):
-        blend_vectors(np.zeros(4), np.zeros(8), 0.5)
 
 
 def test_chunk_length_limits():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -97,7 +98,7 @@ def _task_of(kind):
     (_task_of(la.PickPlace), "zone_radius", "a number"),
     (_task_of(la.FollowCircle), "radius", "a number"),
 ])
-@pytest.mark.parametrize("value", [True, [0.5], {}])
+@pytest.mark.parametrize("value", [True, [0.5], {}, math.nan, math.inf, -math.inf])
 def test_float_fields_reject_bools_and_non_numbers(make, name, what, value):
     with pytest.raises(ValueError, match=f"^{name} must be {what}, got {re.escape(repr(value))}$"):
         make(**{name: value})
@@ -115,7 +116,8 @@ def test_float_fields_name_a_string(name):
     (_task_of(la.PickPlace), "zone_center", "a list of 3 numbers"),
     (_task_of(la.FollowCircle), "center", "a list of 3 numbers"),
 ])
-@pytest.mark.parametrize("value", [(0.5, True, 0.5), (0.5, "0.1", 0.0), "0.5", 0.5, None])
+@pytest.mark.parametrize("value", [(0.5, True, 0.5), (0.5, "0.1", 0.0), "0.5", 0.5, None,
+                                   (0.0, math.inf, 0.0), (math.nan, 0.5, 0.5)])
 def test_float_tuple_fields_reject_non_numbers(make, name, what, value):
     with pytest.raises(ValueError, match=f"^{name} must be {what}, got {re.escape(repr(value))}$"):
         make(**{name: value})
@@ -454,6 +456,48 @@ def test_sweep_rejects_empty_grids(run_config, prior, reward_model):
         la.sweep_alpha(dataclasses.replace(run_config, alphas=()), prior, reward_model)
     with pytest.raises(ValueError):
         la.sweep_model_error(dataclasses.replace(run_config, epsilons=()), prior, reward_model)
+
+
+# --- arms are functions of their config ---------------------------------------
+
+
+def _episodes(arm):
+    return arm.to_dict()["episodes"]
+
+
+@pytest.fixture(scope="module")
+def benchmark_4(run_config, prior, reward_model):
+    """``run_benchmark`` at the shipped config, 4 episodes per arm."""
+    return la.run_benchmark(dataclasses.replace(run_config, n_episodes=4), prior, reward_model,
+                            workers=1)
+
+
+def test_arms_are_functions_of_their_config(benchmark_4, run_config, prior, reward_model, demos):
+    # an arm run at the shipped search config gives the benchmark's reasoner
+    # episodes whichever protocol runs it, and every baseline its baseline
+    cfg = dataclasses.replace(run_config, n_episodes=4, alphas=(0.0, 0.6), epsilons=(0.0, 0.02))
+    bank = la.demo_reward_data(demos, cfg.reward_stride)
+    alpha = la.sweep_alpha(cfg, prior, reward_model, workers=1)
+    error = la.sweep_model_error(cfg, prior, reward_model, workers=1)
+    sampling = la.ablate_sampling(cfg, prior, reward_model, workers=1)
+    rewards = la.ablate_reward(cfg, prior, reward_model, bank, workers=1)
+    reasoner = _episodes(benchmark_4.arm("reasoner"))
+    assert _episodes(alpha.arm("reasoner", alpha=0.6)) == reasoner
+    assert _episodes(error.arm("reasoner", epsilon=0.0)) == reasoner
+    assert _episodes(sampling.arm("kde")) == reasoner
+    assert _episodes(rewards.arm("regressor")) == reasoner
+    for report in (alpha, error):
+        assert _episodes(report.arm("baseline")) == _episodes(benchmark_4.arm("baseline"))
+
+
+def test_noise_arm_runs_the_configured_sigma(run_config, prior, reward_model):
+    cfg = dataclasses.replace(run_config, n_episodes=4)
+    cfg = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search, noise_sigma=0.03))
+    ablation = la.ablate_sampling(cfg, prior, reward_model, workers=1)
+    noise = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search, sampler="noise"))
+    benchmark = la.run_benchmark(noise, prior, reward_model, workers=1)
+    assert ablation.to_json_dict()["config"]["search"]["noise_sigma"] == 0.03
+    assert _episodes(ablation.arm("noise")) == _episodes(benchmark.arm("reasoner"))
 
 
 # --- pinned report bytes ------------------------------------------------------

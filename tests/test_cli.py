@@ -161,14 +161,38 @@ def test_invalid_config_exits_two(tmp_path):
     (dict(TINY, search={"c": True}), "c must be a number, got True"),
     (dict(TINY, sweeps={"alphas": [True, 0.5]}), "alphas must be a list of numbers, got [True, 0.5]"),
     (dict(TINY, search={"alpha": "0.5"}), "alpha must be a number, got '0.5'"),
+    (dict(TINY, sweeps={"alphas": [0.5, 1.5]}), "sweeps.alphas entry 1.5: alpha must lie in [0, 1]"),
+    (dict(TINY, sweeps={"epsilons": [-0.1]}),
+     "sweeps.epsilons entry -0.1: epsilon_model must be non-negative"),
+    (dict(TINY, search={"c": math.nan}), "c must be a number, got nan"),
 ])
-def test_unknown_config_keys_exit_two(tmp_path, capsys, doc, named):
+def test_unknown_config_keys_exit_two(tmp_path, monkeypatch, capsys, doc, named):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert f"invalid config: {named}" in capsys.readouterr().err
+    assert episodes == []
+
+
+@pytest.mark.parametrize("command, sweeps", [
+    ("sweep-alpha", {"alphas": [0.0, 1.5]}),
+    ("sweep-model-error", {"epsilons": [0.0, -0.1]}),
+])
+def test_bad_sweep_point_exits_two_before_any_episode(workdir, monkeypatch, capsys, command, sweeps):
+    root, _, out = workdir
+    cfg = root / f"bad-grid-{command}.json"
+    cfg.write_text(json.dumps(dict(TINY, sweeps=sweeps)), encoding="utf-8")
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert exc.value.code == 2
+    assert "invalid config: sweeps." in capsys.readouterr().err
+    assert episodes == []
 
 
 @pytest.mark.parametrize("command", list(EVALUATIONS))

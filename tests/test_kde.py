@@ -10,6 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
+from lookahead.actions import action_bounds
 from lookahead.errors import DataError
 from lookahead.kde import (
     ZERO_SPREAD_BANDWIDTH,
@@ -18,7 +19,6 @@ from lookahead.kde import (
     density,
     fit_kde,
     load_prior,
-    noise_sample,
     prior_from_json,
     prior_to_json,
     sample,
@@ -435,20 +435,57 @@ def test_visit_weights_from_prior():
     assert w[2] == 1  # far from all mass: floor weight
 
 
+def _noise_sample(anchor, n, sigma, seed, bounds=None):
+    """The noise ablation's former sampler: isotropic Gaussian perturbations of the anchor."""
+    rng = np.random.default_rng(seed)
+    base = np.asarray(anchor, dtype=float).ravel()
+    draws = base + rng.normal(0.0, sigma, size=(n, base.size))
+    if bounds is not None:
+        draws = np.clip(draws, bounds[0], bounds[1])
+    return draws
+
+
+def _one_point(anchor, sigma):
+    return KdePrior(points=np.asarray(anchor, dtype=float)[None, :], bandwidth=sigma,
+                    bandwidth_rule="fixed")
+
+
+def test_one_point_prior_sample_is_the_noise_sampler_bit_for_bit():
+    # a one-point prior's index draw, integers(0, 1), consumes no bits, so its
+    # normals are the noise sampler's
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for d in (4, 8, 16):
+        bounds = action_bounds(d // 4)
+        for _ in range(700):
+            sigma = float(10.0 ** rng.uniform(-12, 1))
+            # anchors inside the action box and, for the unbounded draws, anywhere
+            anchor = (rng.uniform(bounds[0], bounds[1]) if rng.uniform() < 0.5
+                      else rng.normal(0.0, 2.0, size=d))
+            n = int(rng.integers(1, 300))
+            seed = int(rng.integers(0, 2**63))
+            box = bounds if rng.uniform() < 0.5 else None
+            got = sample(_one_point(anchor, sigma), n, seed, box)
+            want = _noise_sample(anchor, n, sigma, seed, box)
+            assert got.tobytes() == want.tobytes(), (d, sigma, n, seed, box is None)
+            cases += 1
+    assert cases >= 2000
+
+
 def test_noise_sample_contract():
     anchor = np.array([0.01, 0.0, 0.0, 0.5])
-    a = np.asarray(noise_sample(anchor, 32, 0.02, seed=3))
-    b = np.asarray(noise_sample(anchor, 32, 0.02, seed=3))
+    a = sample(_one_point(anchor, 0.02), 32, seed=3)
+    b = sample(_one_point(anchor, 0.02), 32, seed=3)
     assert np.array_equal(a, b)
-    tiny = np.asarray(noise_sample(anchor, 8, 1e-300, seed=3))
+    tiny = sample(_one_point(anchor, 1e-300), 8, seed=3)
     assert np.allclose(tiny, anchor, atol=1e-9)
     with pytest.raises(ValueError):
-        noise_sample(anchor, 8, 0.0, seed=3)
+        sample(_one_point(anchor, 0.0), 8, seed=3)
 
 
 def test_noise_sample_mean_bound():
     anchor = np.array([0.2, -0.3])
-    draws = np.asarray(noise_sample(anchor, 100_000, 0.1, seed=12))
+    draws = sample(_one_point(anchor, 0.1), 100_000, seed=12)
     bound = 3 * 0.1 / math.sqrt(100_000)
     assert np.all(np.abs(draws.mean(axis=0) - anchor) < bound * 1.5)
 

@@ -141,6 +141,38 @@ def test_expand_matches_replayed_top_k(stack_task, prior):
         assert np.array_equal(kid.incoming_action, expected)
 
 
+def _noise_expand_reference(node, sigma, config, seed):
+    """The noise expansion as its own sampler wrote it: Gaussian draws around the
+    anchor, the nearest k with the anchor injected, weights from a one-point KDE."""
+    anchor = np.asarray(node.incoming_action, dtype=float)
+    lo, hi = la.action_bounds(anchor.size // 4)
+    rng = np.random.default_rng(derive_seed(seed, "expand", node.depth, *node.path()))
+    cands = np.clip(anchor + rng.normal(0.0, sigma, size=(config.pool_size, anchor.size)), lo, hi)
+    chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
+    chosen[-1] = anchor
+    weight_prior = KdePrior(points=anchor[None, :], bandwidth=sigma, bandwidth_rule="fixed")
+    dens = np.atleast_1d(la.density(weight_prior, chosen))
+    return chosen, la.weights_from_densities(dens, config.visit_budget).tolist()
+
+
+@pytest.mark.parametrize("chunk_len", [1, 4])
+@pytest.mark.parametrize("noise_sigma", [None, 0.003, 0.03])
+def test_noise_expand_matches_the_reference_path(stack_task, demos, chunk_len, noise_sigma):
+    prior = la.demo_prior(demos, chunk_len=chunk_len, bandwidth=0.01)
+    sigma = prior.bandwidth if noise_sigma is None else noise_sigma
+    cfg = SearchConfig(sampler="noise", noise_sigma=noise_sigma)
+    for seed in range(6):
+        obs = la.reset(stack_task, seed)
+        anchor = flatten_chunk(ExpertPolicy(chunk_len=chunk_len).propose(obs))
+        root = TreeNode(obs=obs, incoming_action=anchor)
+        kids = expand(root, prior, cfg, seed)
+        child = kids[seed % cfg.k]  # a node below the root: its seed depends on its path
+        for node, got in ((root, kids), (child, expand(child, prior, cfg, seed))):
+            chosen, visits = _noise_expand_reference(node, sigma, cfg, seed)
+            assert np.array([k.incoming_action for k in got]).tobytes() == chosen.tobytes()
+            assert [k.visits for k in got] == visits
+
+
 def test_expand_whole_pool_when_k_equals_pool(stack_task, prior):
     obs = la.reset(stack_task, 2)
     anchor = flatten_chunk(ExpertPolicy().propose(obs))
