@@ -43,8 +43,6 @@ from .kde import (
     density,
     fit_kde,
     load_prior,
-    prior_from_json,
-    prior_to_json,
     sample,
     save_prior,
     top_k_near,
@@ -60,8 +58,6 @@ from .reward import (
     fit_reward,
     label_progress,
     load_model,
-    model_from_json,
-    model_to_json,
     predict_reward,
     save_model,
 )

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .actions import ACTION_DIM, Action, MAX_CHUNK_LEN
 from .errors import DataError, require_types
 from .kde import KdePrior, fit_kde
-from .policies import DriftPolicy, ExpertPolicy
+from .policies import DriftPolicy, expert_action
 from .records import EpisodeResult, Trajectory, action_matrix, read_trajectories, write_trajectories
 from .reward import (
     FrameBankScorer,
@@ -176,18 +176,16 @@ def generate_demos(task: TaskSpec, n: int, seed: int,
     Successes go to ``demos_path`` and drive prior/reward fitting; failures
     are recorded to ``failures_path`` for inspection but are never labeled.
     """
-    expert = ExpertPolicy(chunk_len=1)
     kept: list[Trajectory] = []
     failed: list[Trajectory] = []
     for i in range(n):
         ep_seed = derive_seed(seed, "demo", i)
-        expert.reset(ep_seed)
         obs = reset(task, ep_seed)
         frames = []
         steps = 0
         success = is_success(obs)
         while not success and steps < task.horizon:
-            a = expert.propose(obs)[0]
+            a = expert_action(obs)
             frames.append((obs, a))
             obs = step(obs, a)
             steps += 1
@@ -205,8 +203,8 @@ def generate_demos(task: TaskSpec, n: int, seed: int,
 
 
 def load_demos(path: str | Path) -> list[Trajectory]:
-    """The file's trajectories; each distinct task dict in it is parsed once."""
-    trajs = read_trajectories(path, functools.partial(Observation.from_dict, tasks={}))
+    """The file's trajectories; a file with none is a DataError."""
+    trajs = read_trajectories(path)
     if not trajs:
         raise DataError(f"no trajectories in {path}")
     return trajs
@@ -421,6 +419,9 @@ def _learned_scorer(config: RunConfig, prior: KdePrior, reward_model: RewardMode
     if reward_model.weights.size != feature_length(config.task) + 1:
         raise ValueError(f"reward model with {reward_model.weights.size - 1} feature weights does not "
                          f"match task {config.task.task_id!r} ({feature_length(config.task)} features)")
+    if config.search.noise_sigma is not None:
+        # the noise arm's one-point prior: a bandwidth it cannot use fails here
+        KdePrior(points=prior.points[:1], bandwidth=config.search.noise_sigma, bandwidth_rule="fixed")
     return functools.partial(predict_reward, reward_model)
 
 
@@ -470,6 +471,10 @@ def ablate_reward(config: RunConfig, prior: KdePrior, reward_model: RewardModel,
     """Learned linear reward vs nearest-demo-frame lookup, same seeds."""
     learned = _learned_scorer(config, prior, reward_model)
     nearest = FrameBankScorer(demo_bank)  # an empty bank fails before any episode
+    bank_length = nearest.features.shape[1]
+    if bank_length != feature_length(config.task):
+        raise ValueError(f"demo bank with {bank_length} features does not match task "
+                         f"{config.task.task_id!r} ({feature_length(config.task)} features)")
     arms = (
         _arm(config, "regressor", workers, learned, prior),
         _arm(config, "nearest-frame", workers, nearest, prior),

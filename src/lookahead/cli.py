@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .bench import (
     BenchReport,
@@ -91,11 +92,11 @@ def _summary(report: BenchReport) -> str:
     return line
 
 
-def _artifacts(out: Path):
-    demos = out / "demos.jsonl"
-    if not demos.is_file():
-        raise DataError(f"missing {demos}; run gen-data first")
-    return load_demos(demos)
+def _read(path: Path, load: Callable[[Path], Any], command: str) -> Any:
+    """``load(path)``, once ``path`` exists; a missing file names the command that writes it."""
+    if not path.is_file():
+        raise DataError(f"missing {path}; run {command} first")
+    return load(path)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "fit-prior":
-            trajs = _artifacts(out)
+            trajs = _read(out / "demos.jsonl", load_demos, "gen-data")
             prior = demo_prior(trajs, chunk_len=config.policy.chunk_len,
                                bandwidth=config.prior_bandwidth)
             save_prior(prior, out / "prior.json")
@@ -124,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "fit-reward":
-            trajs = _artifacts(out)
+            trajs = _read(out / "demos.jsonl", load_demos, "gen-data")
             model = demo_reward_model(trajs, config.reward_stride, config.ridge_lambda,
                                       task_kind=config.task.task_id)
             save_model(model, out / "reward.json")
@@ -133,17 +134,13 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         # evaluation commands need both fitted artifacts
-        prior_path, reward_path = out / "prior.json", out / "reward.json"
-        if not prior_path.is_file():
-            raise DataError(f"missing {prior_path}; run fit-prior first")
-        if not reward_path.is_file():
-            raise DataError(f"missing {reward_path}; run fit-reward first")
-        prior = load_prior(prior_path)
-        model = load_model(reward_path)
+        prior = _read(out / "prior.json", load_prior, "fit-prior")
+        model = _read(out / "reward.json", load_model, "fit-reward")
 
         protocol, stem = EVALUATIONS[args.command]
         # the reward ablation also scores with the labeled demo frames
-        extra = ((demo_reward_data(_artifacts(out), config.reward_stride),)
+        extra = ((demo_reward_data(_read(out / "demos.jsonl", load_demos, "gen-data"),
+                                   config.reward_stride),)
                  if args.command == "ablate-reward" else ())
         report = protocol(config, prior, model, *extra)
         write_report(report, out / f"{stem}.json", out / f"{stem}.csv")

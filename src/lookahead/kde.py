@@ -64,6 +64,11 @@ class KdePrior:
         object.__setattr__(self, "points", pts)
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be a positive finite real")
+        try:
+            float(self.bandwidth) ** -self.dim  # the density's normalizer
+        except OverflowError:
+            raise ValueError(f"bandwidth {self.bandwidth!r} is too small for dimension {self.dim}: "
+                             f"h ** -{self.dim} overflows") from None
 
     def __getstate__(self) -> dict:
         # the sorted support is rebuilt on demand, so pickles stay the size of the fields
@@ -253,27 +258,19 @@ def weights_from_densities(densities: np.ndarray, total_budget: int) -> np.ndarr
     return np.array([1 + math.ceil(spare * (x / total) - 1e-9) for x in vals])
 
 
-def prior_to_json(prior: KdePrior) -> str:
+def save_prior(prior: KdePrior, path: str | Path) -> None:
     doc = {
         "dim": prior.dim,
         "bandwidth": prior.bandwidth,
         "bandwidth_rule": prior.bandwidth_rule,
         "points": prior.points.tolist(),
     }
-    return json.dumps(doc)
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
-def prior_from_json(text: str) -> KdePrior:
-    doc = json.loads(text)
+def load_prior(path: str | Path) -> KdePrior:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     pts = np.asarray(doc["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != doc["dim"]:
         raise ValueError("stored points do not match the stored dimension")
     return KdePrior(points=pts, bandwidth=doc["bandwidth"], bandwidth_rule=doc["bandwidth_rule"])
-
-
-def save_prior(prior: KdePrior, path: str | Path) -> None:
-    Path(path).write_text(prior_to_json(prior) + "\n", encoding="utf-8")
-
-
-def load_prior(path: str | Path) -> KdePrior:
-    return prior_from_json(Path(path).read_text(encoding="utf-8"))

@@ -110,7 +110,7 @@ class DriftPolicy:
     """
 
     def __init__(self, eta: float = 0.004, sigma: float = 0.005,
-                 chunk_len: int = 1, stream: int = 0):
+                 chunk_len: int = 1):
         if eta < 0 or sigma < 0:
             raise ValueError("eta and sigma must be non-negative")
         if not 1 <= chunk_len <= MAX_CHUNK_LEN:
@@ -118,13 +118,12 @@ class DriftPolicy:
         self.eta = eta
         self.sigma = sigma
         self.chunk_len = chunk_len
-        self.stream = stream
         self._bias = np.zeros(3)
-        self._rng = rng_from("drift", stream, 0)
+        self._rng = rng_from("drift", 0, 0)
 
     def reset(self, episode_seed: int) -> None:
         self._bias = np.zeros(3)
-        self._rng = rng_from("drift", self.stream, episode_seed)
+        self._rng = rng_from("drift", 0, episode_seed)
 
     def propose(self, obs: Observation) -> ActionChunk:
         return _open_loop(obs, self.chunk_len, self._drift_action)

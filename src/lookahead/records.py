@@ -10,12 +10,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .actions import Action
 from .errors import DataError
+from .world import Observation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -23,7 +24,7 @@ class Trajectory:
     """A recorded episode: (observation, action) frames plus its outcome."""
 
     task_id: str
-    frames: tuple[tuple[Any, Action], ...]
+    frames: tuple[tuple[Observation, Action], ...]
     success: bool
     seed: int
 
@@ -82,32 +83,24 @@ def trajectory_record(traj: Trajectory) -> dict:
     }
 
 
-def record_to_trajectory(record: dict, obs_decoder: Callable[[dict], Any]) -> Trajectory:
-    frames = tuple(
-        (obs_decoder(f["obs"]), Action(delta=tuple(f["action"][:3]), grip=f["action"][3]))
-        for f in record["frames"]
-    )
-    return Trajectory(
-        task_id=record["task_id"],
-        frames=frames,
-        success=record["success"],
-        seed=record["seed"],
-    )
-
-
 def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for traj in trajectories:
             fh.write(json.dumps(trajectory_record(traj)) + "\n")
 
 
-def read_trajectories(path: str | Path, obs_decoder: Callable[[dict], Any]) -> list[Trajectory]:
+def read_trajectories(path: str | Path) -> list[Trajectory]:
+    """The file's trajectories; each distinct task dict in it is parsed once."""
+    tasks: dict = {}
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                out.append(record_to_trajectory(json.loads(line), obs_decoder))
+            if line.strip():
+                record = json.loads(line)
+                frames = tuple((Observation.from_dict(f["obs"], tasks),
+                                Action(delta=tuple(f["action"][:3]), grip=f["action"][3]))
+                               for f in record["frames"])
+                out.append(Trajectory(record["task_id"], frames, record["success"], record["seed"]))
     return out
 
 

@@ -170,26 +170,20 @@ class FrameBankScorer:
         return float(self.labels[int(np.argmin(d2))])
 
 
-def model_to_json(model: RewardModel) -> str:
-    return json.dumps({
+def save_model(model: RewardModel, path: str | Path) -> None:
+    """Write the model's fields; ``train_mse`` is a training diagnostic and stays out."""
+    text = json.dumps({
         "task_kind": model.task_kind,
         "ridge_lambda": model.ridge_lambda,
         "weights": model.weights.tolist(),
     })
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def model_from_json(text: str) -> RewardModel:
-    doc = json.loads(text)
+def load_model(path: str | Path) -> RewardModel:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     return RewardModel(
         task_kind=doc["task_kind"],
         weights=np.asarray(doc["weights"], dtype=float),
         ridge_lambda=doc["ridge_lambda"],
     )
-
-
-def save_model(model: RewardModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> RewardModel:
-    return model_from_json(Path(path).read_text(encoding="utf-8"))

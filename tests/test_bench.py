@@ -229,13 +229,51 @@ def test_demo_bytes_are_pinned(tmp_path, kind):
     assert {frame[0].task for traj in la.load_demos(d) for frame in traj.frames} == {task}
 
 
+# sha256 of prior.json at chunk_len 1 and 4 and of reward.json, each fitted on
+# the shipped demo config (50 demos at seed 7); pins the artifact file formats
+ARTIFACT_DIGESTS = {
+    "stack": {
+        "prior-1": "e8ed77c123239a5f028c8c479f2eb40e8fbe3b7182fcc9eefb0076d911f59fb8",
+        "prior-4": "5ac25a73453fbca2c7a3b82be804bc04d796a9eee1d08a6ad66bd4c5c7daac67",
+        "reward": "966ff60ac003ff9264fb6f72038d4a16005aec458fc57049230c90cb5469796a",
+    },
+    "pick-place": {
+        "prior-1": "2f6f26b4fd1a45f07d7d76d56223ca317cfd9cd7a7f672633cd91ae48b5ba54e",
+        "prior-4": "113f63d6c85e1e8b39ec12a544fc65623320278b3ad6618ec07c2b4f1893a1e8",
+        "reward": "7685adb650c996da11c4efa7698ce63e0f38aefa8885a0b9604a777c1aa06776",
+    },
+    "follow-circle": {
+        "prior-1": "13ff076b1738b1be25698e868759e42471afca7c50bbaaf9cc088e62c82e7205",
+        "prior-4": "89728e4b99504320b910e2159470b6291598ceda4f7d2a467f611058afcb4839",
+        "reward": "1d45c4f61bdee19739c53af42153ccd35eec28b0bfa3b808d28414284fa5a373",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", [la.Stack(), la.PickPlace(), la.FollowCircle()],
+                         ids=list(ARTIFACT_DIGESTS))
+def test_artifact_bytes_are_pinned(tmp_path, kind):
+    config = la.RunConfig(task=la.TaskSpec(kind=kind))
+    la.generate_demos(config.task, config.demo_count, config.demo_seed,
+                      tmp_path / "demos.jsonl", tmp_path / "failures.jsonl")
+    demos = la.load_demos(tmp_path / "demos.jsonl")
+    for chunk_len in (1, 4):
+        la.save_prior(la.demo_prior(demos, chunk_len, config.prior_bandwidth),
+                      tmp_path / f"prior-{chunk_len}.json")
+    la.save_model(la.demo_reward_model(demos, config.reward_stride, config.ridge_lambda,
+                                       config.task.task_id), tmp_path / "reward.json")
+    digests = {name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+               for name in ("prior-1", "prior-4", "reward")}
+    assert digests == ARTIFACT_DIGESTS[config.task.task_id]
+
+
 def test_generate_demos_failure_split(tmp_path):
     # an impossible horizon forces failures into the failure file
     task = la.TaskSpec(kind=la.Stack(), horizon=3)
     d, f = tmp_path / "demos.jsonl", tmp_path / "failures.jsonl"
     with pytest.raises(DataError):
         la.generate_demos(task, 5, 0, d, f)
-    failures = la.read_trajectories(f, la.Observation.from_dict)
+    failures = la.read_trajectories(f)
     assert len(failures) == 5
     assert not any(t.success for t in failures)
 
@@ -440,6 +478,19 @@ def test_ablate_reward_structure(run_config, prior, reward_model, demos):
     assert [a.arm for a in report.arms] == ["regressor", "nearest-frame"]
     with pytest.raises(DataError):
         la.ablate_reward(cfg, prior, reward_model, [], workers=1)
+
+
+def test_ablate_reward_rejects_a_bank_of_another_task_before_any_episode(
+        run_config, prior, reward_model, monkeypatch):
+    cfg = _tiny_config(run_config, n=2)
+    pick_place = la.TaskSpec(kind=la.PickPlace())
+    bank = [la.LabeledFrame(la.render_features(la.reset(pick_place, 0)), 0.0)]
+    episodes = []
+    monkeypatch.setattr(la.bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    with pytest.raises(ValueError, match=r"^demo bank with 15 features does not match task 'stack' "
+                                         r"\(21 features\)$"):
+        la.ablate_reward(cfg, prior, reward_model, bank, workers=1)
+    assert episodes == []
 
 
 def test_sweep_model_error_structure(run_config, prior, reward_model):

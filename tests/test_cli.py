@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
+import lookahead
 from lookahead import bench
 from lookahead.bench import RunConfig
 from lookahead.cli import EVALUATIONS, main
@@ -200,6 +202,9 @@ def test_bad_sweep_point_exits_two_before_any_episode(workdir, monkeypatch, caps
     ({"policy": {"chunk_len": 2}}, "prior dimension 4 does not match chunk_len 2"),
     ({"task": {"kind": "pick-place"}},
      "reward model with 21 feature weights does not match task 'pick-place' (15 features)"),
+    # every protocol builds the noise arm's one-point prior before its first episode
+    ({"search": {"noise_sigma": 1e-90}},
+     "bandwidth 1e-90 is too small for dimension 4: h ** -4 overflows"),
 ])
 def test_mismatched_artifacts_exit_one_before_any_episode(workdir, monkeypatch, capsys,
                                                           command, change, named):
@@ -231,6 +236,25 @@ def test_non_finite_prior_exits_one_before_any_episode(workdir, tmp_path, monkey
     assert main(["run", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
     assert "ValueError: support points must be finite" in capsys.readouterr().err
     assert episodes == []
+
+
+def test_tiny_prior_bandwidth_fails_fit_prior(workdir, tmp_path, capsys):
+    _, _, out = workdir
+    bad = tmp_path / "out"
+    bad.mkdir()
+    (bad / "demos.jsonl").write_bytes((out / "demos.jsonl").read_bytes())
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY, prior={"bandwidth": 1e-90})), encoding="utf-8")
+    assert main(["fit-prior", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
+    assert "ValueError: bandwidth 1e-90 is too small for dimension 4" in capsys.readouterr().err
+    assert not (bad / "prior.json").exists()
+
+
+def test_readme_names_resolve_on_the_package():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"\bla\.(\w+)", readme))
+    assert names, "the README names no la.<name>"
+    assert sorted(n for n in names if not hasattr(lookahead, n)) == []
 
 
 def test_readme_example_config_parses():

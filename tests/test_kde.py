@@ -19,8 +19,6 @@ from lookahead.kde import (
     density,
     fit_kde,
     load_prior,
-    prior_from_json,
-    prior_to_json,
     sample,
     save_prior,
     top_k_near,
@@ -261,6 +259,17 @@ def test_sorted_support_is_not_pickled():
     assert density(again, prior.points[:8]).tobytes() == first.tobytes()
 
 
+def test_prior_rejects_a_bandwidth_whose_normalizer_overflows():
+    # (1e-90) ** -4 overflows a float; at d = 1 the same width is usable
+    with pytest.raises(ValueError, match=r"^bandwidth 1e-90 is too small for dimension 4: h \*\* -4 overflows$"):
+        KdePrior(points=np.zeros((2, 4)), bandwidth=1e-90, bandwidth_rule="fixed")
+    with pytest.raises(ValueError, match="too small for dimension 4"):
+        fit_kde(np.eye(4), 1e-90)
+    with pytest.raises(ValueError, match="too small for dimension 4"):  # numpy powers return inf
+        KdePrior(points=np.zeros((2, 4)), bandwidth=np.float64(1e-90), bandwidth_rule="fixed")
+    assert KdePrior(points=np.zeros((2, 1)), bandwidth=1e-90, bandwidth_rule="fixed").bandwidth == 1e-90
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_prior_rejects_non_finite_support(bad):
     with pytest.raises(ValueError, match="support points must be finite"):
@@ -268,10 +277,12 @@ def test_prior_rejects_non_finite_support(bad):
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-def test_prior_json_with_non_finite_points_fails(token):
-    text = f'{{"dim": 2, "bandwidth": 0.1, "bandwidth_rule": "fixed", "points": [[0.0, {token}], [1.0, 2.0]]}}'
+def test_prior_json_with_non_finite_points_fails(tmp_path, token):
+    path = tmp_path / "prior.json"
+    path.write_text(f'{{"dim": 2, "bandwidth": 0.1, "bandwidth_rule": "fixed", '
+                    f'"points": [[0.0, {token}], [1.0, 2.0]]}}', encoding="utf-8")
     with pytest.raises(ValueError, match="support points must be finite"):
-        prior_from_json(text)
+        load_prior(path)
 
 
 def test_bounded_sample_equals_clipped_draws_bit_for_bit():
@@ -477,7 +488,8 @@ def test_noise_sample_contract():
     a = sample(_one_point(anchor, 0.02), 32, seed=3)
     b = sample(_one_point(anchor, 0.02), 32, seed=3)
     assert np.array_equal(a, b)
-    tiny = sample(_one_point(anchor, 1e-300), 8, seed=3)
+    # 1e-60 rather than 1e-300: a 4-d prior whose h ** -4 overflows is rejected
+    tiny = sample(_one_point(anchor, 1e-60), 8, seed=3)
     assert np.allclose(tiny, anchor, atol=1e-9)
     with pytest.raises(ValueError):
         sample(_one_point(anchor, 0.0), 8, seed=3)
@@ -493,13 +505,23 @@ def test_noise_sample_mean_bound():
 def test_prior_json_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     prior = fit_kde(rng.normal(size=(9, 4)), "scott")
-    doc = json.loads(prior_to_json(prior))
+    path = tmp_path / "prior.json"
+    save_prior(prior, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"dim", "bandwidth", "bandwidth_rule", "points"}
-    again = prior_from_json(prior_to_json(prior))
+    again = load_prior(path)
     assert again.bandwidth == prior.bandwidth
     assert np.array_equal(np.asarray(again.points), np.asarray(prior.points))
 
+    # writing the loaded prior reproduces the file byte for byte
+    path2 = tmp_path / "prior2.json"
+    save_prior(again, path2)
+    assert path2.read_bytes() == path.read_bytes()
+
+
+def test_prior_file_with_mismatched_dimension_fails(tmp_path):
     path = tmp_path / "prior.json"
-    save_prior(prior, path)
-    loaded = load_prior(path)
-    assert prior_to_json(loaded) == prior_to_json(prior)
+    path.write_text('{"dim": 3, "bandwidth": 0.1, "bandwidth_rule": "fixed", '
+                    '"points": [[0.0, 1.0], [1.0, 2.0]]}', encoding="utf-8")
+    with pytest.raises(ValueError, match="stored points do not match the stored dimension"):
+        load_prior(path)

@@ -46,7 +46,7 @@ def test_jsonl_round_trip_is_bit_exact(tmp_path, stack_task):
     trajs = [_tiny_traj(stack_task, seed=s) for s in (1, 2, 3)]
     path = tmp_path / "t.jsonl"
     write_trajectories(path, trajs)
-    again = read_trajectories(path, la.Observation.from_dict)
+    again = read_trajectories(path)
     assert again == trajs
 
     # writing the decoded trajectories reproduces the file byte for byte

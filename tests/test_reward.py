@@ -19,9 +19,9 @@ from lookahead.reward import (
     downsample,
     fit_reward,
     label_progress,
-    model_from_json,
-    model_to_json,
+    load_model,
     predict_reward,
+    save_model,
 )
 from lookahead.world import render_features
 
@@ -256,14 +256,15 @@ def test_nearest_frame_preconditions(stack_task):
         FrameBankScorer([LabeledFrame(np.zeros(1), 0.5)])(obs)
 
 
-def test_model_json_round_trip():
+def test_model_json_round_trip(tmp_path):
     model = RewardModel(task_kind="stack",
                         weights=np.array([0.1, -0.2, 0.3]),
                         ridge_lambda=0.5, train_mse=0.01)
-    text = model_to_json(model)
-    doc = json.loads(text)
+    path = tmp_path / "reward.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"task_kind", "ridge_lambda", "weights"}
-    again = model_from_json(text)
+    again = load_model(path)
     assert again.task_kind == model.task_kind
     assert again.ridge_lambda == model.ridge_lambda
     assert np.array_equal(again.weights, model.weights)
