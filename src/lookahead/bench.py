@@ -88,11 +88,11 @@ class RunConfig:
     base_seed: int = 0
     demo_count: int = 50
     demo_seed: int = 7
-    # calibrated pipeline defaults: a fixed prior bandwidth matched to the
-    # delta scale (the rule-based bandwidths are inflated by the binary grip
-    # channel), and a strong ridge so the reward field stays smooth off the
-    # demo manifold
-    prior_bandwidth: str | float = 0.01
+    # calibrated pipeline defaults: a prior bandwidth matched to the scale of
+    # the position deltas (a width fitted to the spread of all channels would
+    # follow the binary grip channel instead), and a strong ridge so the reward
+    # field stays smooth off the demo manifold
+    prior_bandwidth: float = 0.01
     reward_stride: int = 4
     ridge_lambda: float = 1.0
     alphas: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -104,11 +104,8 @@ class RunConfig:
             raise ValueError("n_episodes must be >= 1")
         if self.demo_count < 1:
             raise ValueError("demo_count must be >= 1")
-        if isinstance(self.prior_bandwidth, str):
-            if self.prior_bandwidth not in ("scott", "silverman"):
-                raise ValueError("prior_bandwidth must be positive or scott/silverman")
-        elif not self.prior_bandwidth > 0:
-            raise ValueError("prior_bandwidth must be positive or scott/silverman")
+        if not self.prior_bandwidth > 0:
+            raise ValueError("prior_bandwidth must be positive")
         if self.reward_stride < 1:
             raise ValueError("reward_stride must be >= 1")
         if self.ridge_lambda < 0:
@@ -210,8 +207,7 @@ def load_demos(path: str | Path) -> list[Trajectory]:
     return trajs
 
 
-def demo_prior(trajs: Sequence[Trajectory], chunk_len: int = 1,
-               bandwidth: str | float = "scott") -> KdePrior:
+def demo_prior(trajs: Sequence[Trajectory], chunk_len: int, bandwidth: float) -> KdePrior:
     return fit_kde(action_matrix(trajs, chunk_len), bandwidth)
 
 
@@ -421,7 +417,7 @@ def _learned_scorer(config: RunConfig, prior: KdePrior, reward_model: RewardMode
                          f"match task {config.task.task_id!r} ({feature_length(config.task)} features)")
     if config.search.noise_sigma is not None:
         # the noise arm's one-point prior: a bandwidth it cannot use fails here
-        KdePrior(points=prior.points[:1], bandwidth=config.search.noise_sigma, bandwidth_rule="fixed")
+        KdePrior(points=prior.points[:1], bandwidth=config.search.noise_sigma)
     return functools.partial(predict_reward, reward_model)
 
 

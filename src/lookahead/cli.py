@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
                                bandwidth=config.prior_bandwidth)
             save_prior(prior, out / "prior.json")
             print(f"prior: {prior.n_points} points, dim={prior.dim}, "
-                  f"bandwidth={prior.bandwidth:.6g} ({prior.bandwidth_rule}) -> {out / 'prior.json'}")
+                  f"bandwidth={prior.bandwidth:.6g} -> {out / 'prior.json'}")
             return 0
 
         if args.command == "fit-reward":

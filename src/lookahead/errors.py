@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the type check of config fields."""
+"""Exception types shared across the package, the type check of config fields,
+and the key check of artifact documents."""
 
 import dataclasses
 import functools
@@ -27,7 +28,6 @@ _FIELD_TYPES = {
     "int": (lambda v: type(v) is int, "an integer"),
     "float": (_is_number, "a number"),
     "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
-    "str | float": (lambda v: isinstance(v, str) or _is_number(v), "a number or a rule name"),
     "tuple[float, ...]": (_are_numbers, "a list of numbers"),
     "tuple[float, float, float]": (lambda v: _are_numbers(v) and len(v) == 3, "a list of 3 numbers"),
 }
@@ -37,6 +37,17 @@ _FIELD_TYPES = {
 def _typed_fields(cls: type) -> tuple[tuple[str, object, str], ...]:
     return tuple((f.name, *_FIELD_TYPES[f.type]) for f in dataclasses.fields(cls)
                  if f.type in _FIELD_TYPES)
+
+
+def require_keys(doc: object, keys: tuple[str, ...], source: object) -> dict:
+    """``doc``, once it is a JSON object holding every one of ``keys``; otherwise a
+    DataError naming ``source`` (the file the document came from) and the first missing key."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{source} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise DataError(f"{source}: missing key {key!r}")
+    return doc
 
 
 def require_types(obj: object) -> None:

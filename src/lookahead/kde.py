@@ -31,16 +31,12 @@ import dataclasses
 import functools
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_keys, require_types
 
-# Rule-based bandwidths collapse when the support has no spread; fall back to
-# a tiny positive width instead of a degenerate zero.
-ZERO_SPREAD_BANDWIDTH = 1e-3
 # a kernel term is exactly +0.0 once ||a - a_i||^2 / (2 h^2) exceeds about
 # 745.13; density's window keeps the points below this exponent
 _CUTOFF_EXPONENT = 750.0
@@ -48,13 +44,13 @@ _CUTOFF_EXPONENT = 750.0
 
 @dataclasses.dataclass(frozen=True)
 class KdePrior:
-    """A fitted kernel density estimate with an isotropic Gaussian kernel."""
+    """A kernel density estimate with an isotropic Gaussian kernel of fixed width."""
 
     points: np.ndarray  # (n, d) support actions
     bandwidth: float
-    bandwidth_rule: str  # "scott", "silverman", or "fixed"
 
     def __post_init__(self) -> None:
+        require_types(self)
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("support points must form a non-empty (n, d) matrix")
@@ -62,13 +58,17 @@ class KdePrior:
             raise ValueError("support points must be finite")
         pts.flags.writeable = False  # an own, fixed copy: sorted_support is derived from it
         object.__setattr__(self, "points", pts)
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("bandwidth must be a positive finite real")
+        h = float(self.bandwidth)
+        if not h > 0:
+            raise ValueError("bandwidth must be positive")
         try:
-            float(self.bandwidth) ** -self.dim  # the density's normalizer
+            h ** -self.dim  # the density's normalizer
         except OverflowError:
-            raise ValueError(f"bandwidth {self.bandwidth!r} is too small for dimension {self.dim}: "
+            raise ValueError(f"bandwidth {h!r} is too small for dimension {self.dim}: "
                              f"h ** -{self.dim} overflows") from None
+        if 2.0 * h * h == 0.0:  # the density's exponent divides by it
+            raise ValueError(f"bandwidth {h!r} is too small: 2 * h * h underflows to 0")
+        object.__setattr__(self, "bandwidth", h)
 
     def __getstate__(self) -> dict:
         # the sorted support is rebuilt on demand, so pickles stay the size of the fields
@@ -108,48 +108,14 @@ class SamplePool:
             raise ValueError("candidates must be (n, d) with d matching the anchor")
 
 
-def _rule_bandwidth(points: np.ndarray, rule: str) -> float:
-    n, d = points.shape
-    # sigma_hat: mean per-dimension sample standard deviation
-    sigma_hat = float(np.mean(np.std(points, axis=0, ddof=1)))
-    if sigma_hat <= 0.0:
-        warnings.warn(
-            f"support has zero spread; using fallback bandwidth {ZERO_SPREAD_BANDWIDTH}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return ZERO_SPREAD_BANDWIDTH
-    h = n ** (-1.0 / (d + 4)) * sigma_hat
-    if rule == "silverman":
-        h *= (4.0 / (d + 2)) ** (1.0 / (d + 4))
-    return h
-
-
-def fit_kde(actions: np.ndarray, bandwidth: str | float = "scott") -> KdePrior:
-    """Fit the prior on a stack of flattened actions.
-
-    ``bandwidth`` is either a rule name ("scott" or "silverman") or a fixed
-    positive width. Scott's rule is h = n^(-1/(d+4)) * sigma_hat; Silverman
-    multiplies it by (4/(d+2))^(1/(d+4)).
-    """
+def fit_kde(actions: np.ndarray, bandwidth: float) -> KdePrior:
+    """Fit the prior of fixed width ``bandwidth`` on a stack of flattened actions."""
     pts = np.asarray(actions, dtype=float)
     if pts.ndim != 2:
         raise ValueError("actions must be an (n, d) matrix")
     if pts.shape[0] < 2:
         raise DataError("need at least 2 actions to fit a density")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("actions must be finite")
-    if isinstance(bandwidth, str):
-        if bandwidth not in ("scott", "silverman"):
-            raise ValueError(f"unknown bandwidth rule {bandwidth!r}")
-        h = _rule_bandwidth(pts, bandwidth)
-        rule = bandwidth
-    else:
-        h = float(bandwidth)
-        if not (math.isfinite(h) and h > 0):
-            raise ValueError("fixed bandwidth must be a positive finite real")
-        rule = "fixed"
-    return KdePrior(points=pts, bandwidth=h, bandwidth_rule=rule)
+    return KdePrior(points=pts, bandwidth=bandwidth)
 
 
 def sample(
@@ -262,15 +228,16 @@ def save_prior(prior: KdePrior, path: str | Path) -> None:
     doc = {
         "dim": prior.dim,
         "bandwidth": prior.bandwidth,
-        "bandwidth_rule": prior.bandwidth_rule,
         "points": prior.points.tolist(),
     }
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_prior(path: str | Path) -> KdePrior:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The stored prior; a ``bandwidth_rule`` key from older files is ignored."""
+    doc = require_keys(json.loads(Path(path).read_text(encoding="utf-8")),
+                       ("dim", "bandwidth", "points"), path)
     pts = np.asarray(doc["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != doc["dim"]:
         raise ValueError("stored points do not match the stored dimension")
-    return KdePrior(points=pts, bandwidth=doc["bandwidth"], bandwidth_rule=doc["bandwidth_rule"])
+    return KdePrior(points=pts, bandwidth=doc["bandwidth"])

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .actions import Action
-from .errors import DataError
+from .errors import DataError, require_keys
 from .world import Observation
 
 
@@ -94,9 +94,10 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
     tasks: dict = {}
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                record = json.loads(line)
+                record = require_keys(json.loads(line), ("task_id", "seed", "success", "frames"),
+                                      f"{path} line {number}")
                 frames = tuple((Observation.from_dict(f["obs"], tasks),
                                 Action(delta=tuple(f["action"][:3]), grip=f["action"][3]))
                                for f in record["frames"])

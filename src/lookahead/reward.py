@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_keys
 from .records import Trajectory
 from .world import Observation, render_features
 
@@ -181,7 +181,8 @@ def save_model(model: RewardModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RewardModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = require_keys(json.loads(Path(path).read_text(encoding="utf-8")),
+                       ("task_kind", "weights", "ridge_lambda"), path)
     return RewardModel(
         task_kind=doc["task_kind"],
         weights=np.asarray(doc["weights"], dtype=float),

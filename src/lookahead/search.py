@@ -140,7 +140,7 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
 
     if config.sampler == "noise":
         sigma = config.noise_sigma if config.noise_sigma is not None else prior.bandwidth
-        prior = KdePrior(points=anchor[None, :], bandwidth=sigma, bandwidth_rule="fixed")
+        prior = KdePrior(points=anchor[None, :], bandwidth=sigma)
 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)

@@ -89,7 +89,8 @@ def _task_of(kind):
 
 @pytest.mark.parametrize("make, name, what", [
     (la.RunConfig, "ridge_lambda", "a number"),
-    (la.RunConfig, "prior_bandwidth", "a number or a rule name"),
+    (la.RunConfig, "prior_bandwidth", "a number"),
+    (lambda **kw: la.KdePrior(points=[[0.0], [1.0]], **kw), "bandwidth", "a number"),
     (PolicyParams, "eta", "a number"),
     (PolicyParams, "sigma", "a number"),
     *((la.SearchConfig, name, "a number") for name in ("c", "alpha", "epsilon_model")),
@@ -233,18 +234,18 @@ def test_demo_bytes_are_pinned(tmp_path, kind):
 # the shipped demo config (50 demos at seed 7); pins the artifact file formats
 ARTIFACT_DIGESTS = {
     "stack": {
-        "prior-1": "e8ed77c123239a5f028c8c479f2eb40e8fbe3b7182fcc9eefb0076d911f59fb8",
-        "prior-4": "5ac25a73453fbca2c7a3b82be804bc04d796a9eee1d08a6ad66bd4c5c7daac67",
+        "prior-1": "e8a104468b4f6f6e37888224f56ef8c8cd116c4400221352756fd8cdb2f006d9",
+        "prior-4": "5e60bf41b13a81aced00ccd67773bd3987185feab3f4627fa2466f76455f5f03",
         "reward": "966ff60ac003ff9264fb6f72038d4a16005aec458fc57049230c90cb5469796a",
     },
     "pick-place": {
-        "prior-1": "2f6f26b4fd1a45f07d7d76d56223ca317cfd9cd7a7f672633cd91ae48b5ba54e",
-        "prior-4": "113f63d6c85e1e8b39ec12a544fc65623320278b3ad6618ec07c2b4f1893a1e8",
+        "prior-1": "e0d7c00f2212aa4dfa9db584fceb512632213c00e6f700667eaf913ab73294db",
+        "prior-4": "a80fd6119a88a1df1bdd1cd3c91692e0f7b58b58903886849c5f4a9cc238add5",
         "reward": "7685adb650c996da11c4efa7698ce63e0f38aefa8885a0b9604a777c1aa06776",
     },
     "follow-circle": {
-        "prior-1": "13ff076b1738b1be25698e868759e42471afca7c50bbaaf9cc088e62c82e7205",
-        "prior-4": "89728e4b99504320b910e2159470b6291598ceda4f7d2a467f611058afcb4839",
+        "prior-1": "3deaf5233d55ec41ccf7b5847b63672c22ef1e8e7209e930b2aaf8b187ed268a",
+        "prior-4": "d80cea29e3f07b0c6fd3bec8339fdd6d8d8203fca0f122c5b79d2a44b21bbdb3",
         "reward": "1d45c4f61bdee19739c53af42153ccd35eec28b0bfa3b808d28414284fa5a373",
     },
 }

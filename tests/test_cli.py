@@ -167,6 +167,7 @@ def test_invalid_config_exits_two(tmp_path):
     (dict(TINY, sweeps={"epsilons": [-0.1]}),
      "sweeps.epsilons entry -0.1: epsilon_model must be non-negative"),
     (dict(TINY, search={"c": math.nan}), "c must be a number, got nan"),
+    (dict(TINY, prior={"bandwidth": "scott"}), "prior_bandwidth must be a number, got 'scott'"),
 ])
 def test_unknown_config_keys_exit_two(tmp_path, monkeypatch, capsys, doc, named):
     cfg = tmp_path / "config.json"
@@ -235,6 +236,43 @@ def test_non_finite_prior_exits_one_before_any_episode(workdir, tmp_path, monkey
     monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
     assert main(["run", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
     assert "ValueError: support points must be finite" in capsys.readouterr().err
+    assert episodes == []
+
+
+def _without(key):
+    """An edit of a one-object JSON file that drops ``key``."""
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize("name, edit, named", [
+    ("prior.json", _without("bandwidth"), "DataError: {path}: missing key 'bandwidth'"),
+    ("prior.json", lambda text: "[1, 2]", "DataError: {path} must be a JSON object, got list"),
+    ("prior.json", lambda text: text.replace('"bandwidth": 0.01', '"bandwidth": "0.01"'),
+     "ValueError: bandwidth must be a number, got '0.01'"),
+    ("reward.json", _without("ridge_lambda"), "DataError: {path}: missing key 'ridge_lambda'"),
+    ("reward.json", lambda text: "null", "DataError: {path} must be a JSON object, got NoneType"),
+    ("demos.jsonl",
+     lambda text: text.split("\n", 1)[0] + '\n{"task_id": "stack", "seed": 0, "success": true}\n',
+     "DataError: {path} line 2: missing key 'frames'"),
+    ("demos.jsonl", lambda text: "[]\n", "DataError: {path} line 1 must be a JSON object, got list"),
+])
+def test_malformed_artifact_exits_one_before_any_episode(workdir, tmp_path, monkeypatch, capsys,
+                                                         name, edit, named):
+    # the reward ablation reads all three artifacts
+    _, cfg, out = workdir
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for artifact in ("demos.jsonl", "prior.json", "reward.json"):
+        text = (out / artifact).read_text(encoding="utf-8")
+        if artifact == name:
+            edited = edit(text)
+            assert edited != text
+            text = edited
+        (bad / artifact).write_text(text, encoding="utf-8")
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    assert main(["ablate-reward", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
+    assert named.format(path=bad / name) in capsys.readouterr().err
     assert episodes == []
 
 

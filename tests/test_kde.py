@@ -1,4 +1,4 @@
-"""KDE prior: bandwidth rules, density closed forms, sampling, visit weights."""
+"""KDE prior: density closed forms, sampling, visit weights, the prior.json file."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import pytest
 from lookahead.actions import action_bounds
 from lookahead.errors import DataError
 from lookahead.kde import (
-    ZERO_SPREAD_BANDWIDTH,
     KdePrior,
     SamplePool,
     density,
@@ -28,49 +27,23 @@ from lookahead.kde import (
 
 def test_fit_requires_two_points():
     with pytest.raises(DataError):
-        fit_kde(np.zeros((1, 4)), "scott")
-
-
-def test_scott_bandwidth_formula():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(40, 3))
-    prior = fit_kde(pts, "scott")
-    sigma = float(np.mean(pts.std(axis=0, ddof=1)))
-    expect = 40 ** (-1.0 / (3 + 4)) * sigma
-    assert abs(prior.bandwidth - expect) < 1e-12
-    assert prior.bandwidth_rule == "scott"
-
-
-def test_silverman_factor():
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(40, 3))
-    scott = fit_kde(pts, "scott").bandwidth
-    silverman = fit_kde(pts, "silverman").bandwidth
-    assert abs(silverman / scott - (4.0 / (3 + 2)) ** (1.0 / (3 + 4))) < 1e-12
+        fit_kde(np.zeros((1, 4)), 0.1)
 
 
 def test_fixed_bandwidth():
     pts = np.array([[0.0], [1.0]])
     prior = fit_kde(pts, 0.25)
     assert prior.bandwidth == 0.25
-    assert prior.bandwidth_rule == "fixed"
     with pytest.raises(ValueError):
         fit_kde(pts, -0.1)
-
-
-def test_zero_variance_falls_back_with_warning():
-    pts = np.zeros((5, 2))
-    with pytest.warns(RuntimeWarning):
-        prior = fit_kde(pts, "scott")
-    assert prior.bandwidth == ZERO_SPREAD_BANDWIDTH
+    # an int width is kept as a float, so prior.json writes 1.0
+    assert type(fit_kde(pts, 1).bandwidth) is float
 
 
 def test_density_single_point_peak():
     # closed form: (2*pi)^(-d/2) * h^(-d) at the support point
     for d, h in [(1, 0.5), (3, 0.2), (4, 1.0)]:
         pts = np.zeros((2, d))  # duplicated point keeps the n >= 2 contract
-        with pytest.warns(RuntimeWarning):
-            prior = fit_kde(pts, "scott")  # zero spread falls back
         prior = fit_kde(pts, h)
         peak = (2 * math.pi) ** (-d / 2) * h ** (-d)
         assert abs(density(prior, np.zeros(d)) - peak) < 1e-9 * peak
@@ -190,7 +163,7 @@ def test_density_window_edge_is_exact(t):
             key_vals.append(q + side * t * h)
         pts = np.zeros((len(key_vals), 4))
         pts[:, 2] = key_vals
-        prior = KdePrior(points=pts, bandwidth=h, bandwidth_rule="fixed")
+        prior = KdePrior(points=pts, bandwidth=h)
         query = np.array([0.0, 0.0, q, 0.0])
         want = _broadcast_density(prior, query)
         assert want[0] > 0.0  # the terms inside r count
@@ -226,7 +199,7 @@ def test_density_on_duplicate_and_two_point_supports():
         np.array([[0.01, 0.0, 0.0, 1.0]] * 3 + [[0.0, 0.0, 0.0, 0.0]] * 4 + [[0.01, 0.0, 0.0, 1.0]]),
     ]
     for pts in supports:
-        prior = KdePrior(points=pts, bandwidth=h, bandwidth_rule="fixed")
+        prior = KdePrior(points=pts, bandwidth=h)
         queries = np.concatenate([
             pts + 0.003,
             [[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, -1.0]],
@@ -240,7 +213,7 @@ def test_density_on_duplicate_and_two_point_supports():
 
 def test_prior_points_are_a_read_only_copy():
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-    prior = KdePrior(points=pts, bandwidth=0.1, bandwidth_rule="fixed")
+    prior = KdePrior(points=pts, bandwidth=0.1)
     pts[0, 0] = 9.0
     assert prior.points[0, 0] == 0.0
     with pytest.raises(ValueError):
@@ -262,24 +235,30 @@ def test_sorted_support_is_not_pickled():
 def test_prior_rejects_a_bandwidth_whose_normalizer_overflows():
     # (1e-90) ** -4 overflows a float; at d = 1 the same width is usable
     with pytest.raises(ValueError, match=r"^bandwidth 1e-90 is too small for dimension 4: h \*\* -4 overflows$"):
-        KdePrior(points=np.zeros((2, 4)), bandwidth=1e-90, bandwidth_rule="fixed")
+        KdePrior(points=np.zeros((2, 4)), bandwidth=1e-90)
     with pytest.raises(ValueError, match="too small for dimension 4"):
         fit_kde(np.eye(4), 1e-90)
     with pytest.raises(ValueError, match="too small for dimension 4"):  # numpy powers return inf
-        KdePrior(points=np.zeros((2, 4)), bandwidth=np.float64(1e-90), bandwidth_rule="fixed")
-    assert KdePrior(points=np.zeros((2, 1)), bandwidth=1e-90, bandwidth_rule="fixed").bandwidth == 1e-90
+        KdePrior(points=np.zeros((2, 4)), bandwidth=np.float64(1e-90))
+    assert KdePrior(points=np.zeros((2, 1)), bandwidth=1e-90).bandwidth == 1e-90
+    # at d = 1, h ** -1 stays finite but the exponent's 2 * h * h underflows to 0
+    with pytest.raises(ValueError, match=r"^bandwidth 1e-170 is too small: 2 \* h \* h underflows to 0$"):
+        KdePrior(points=[[0.0], [1.0]], bandwidth=1e-170)
+    tiny = KdePrior(points=[[0.0], [1.0]], bandwidth=1e-160)
+    assert 0.0 < density(tiny, np.array([0.0])) < math.inf
+    assert density(tiny, np.array([0.5])) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_prior_rejects_non_finite_support(bad):
     with pytest.raises(ValueError, match="support points must be finite"):
-        KdePrior(points=[[0.0, bad], [1.0, 2.0]], bandwidth=0.1, bandwidth_rule="fixed")
+        KdePrior(points=[[0.0, bad], [1.0, 2.0]], bandwidth=0.1)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_prior_json_with_non_finite_points_fails(tmp_path, token):
     path = tmp_path / "prior.json"
-    path.write_text(f'{{"dim": 2, "bandwidth": 0.1, "bandwidth_rule": "fixed", '
+    path.write_text(f'{{"dim": 2, "bandwidth": 0.1, '
                     f'"points": [[0.0, {token}], [1.0, 2.0]]}}', encoding="utf-8")
     with pytest.raises(ValueError, match="support points must be finite"):
         load_prior(path)
@@ -457,8 +436,7 @@ def _noise_sample(anchor, n, sigma, seed, bounds=None):
 
 
 def _one_point(anchor, sigma):
-    return KdePrior(points=np.asarray(anchor, dtype=float)[None, :], bandwidth=sigma,
-                    bandwidth_rule="fixed")
+    return KdePrior(points=np.asarray(anchor, dtype=float)[None, :], bandwidth=sigma)
 
 
 def test_one_point_prior_sample_is_the_noise_sampler_bit_for_bit():
@@ -504,11 +482,11 @@ def test_noise_sample_mean_bound():
 
 def test_prior_json_round_trip(tmp_path):
     rng = np.random.default_rng(11)
-    prior = fit_kde(rng.normal(size=(9, 4)), "scott")
+    prior = fit_kde(rng.normal(size=(9, 4)), 0.37)
     path = tmp_path / "prior.json"
     save_prior(prior, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert set(doc) == {"dim", "bandwidth", "bandwidth_rule", "points"}
+    assert set(doc) == {"dim", "bandwidth", "points"}
     again = load_prior(path)
     assert again.bandwidth == prior.bandwidth
     assert np.array_equal(np.asarray(again.points), np.asarray(prior.points))
@@ -519,9 +497,23 @@ def test_prior_json_round_trip(tmp_path):
     assert path2.read_bytes() == path.read_bytes()
 
 
+def test_prior_file_with_a_bandwidth_rule_key_still_loads(tmp_path):
+    # files written before the prior lost its rule label carry a bandwidth_rule key
+    old = tmp_path / "old.json"
+    old.write_text('{"dim": 2, "bandwidth": 0.123, "bandwidth_rule": "scott", '
+                   '"points": [[0.0, 1.0], [0.5, -2.0]]}\n', encoding="utf-8")
+    prior = load_prior(old)
+    assert prior.bandwidth == 0.123
+    assert prior.points.tolist() == [[0.0, 1.0], [0.5, -2.0]]
+    new = tmp_path / "new.json"
+    save_prior(prior, new)
+    assert new.read_text(encoding="utf-8") == old.read_text(encoding="utf-8").replace(
+        '"bandwidth_rule": "scott", ', "")
+
+
 def test_prior_file_with_mismatched_dimension_fails(tmp_path):
     path = tmp_path / "prior.json"
-    path.write_text('{"dim": 3, "bandwidth": 0.1, "bandwidth_rule": "fixed", '
+    path.write_text('{"dim": 3, "bandwidth": 0.1, '
                     '"points": [[0.0, 1.0], [1.0, 2.0]]}', encoding="utf-8")
     with pytest.raises(ValueError, match="stored points do not match the stored dimension"):
         load_prior(path)

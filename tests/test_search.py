@@ -150,7 +150,7 @@ def _noise_expand_reference(node, sigma, config, seed):
     cands = np.clip(anchor + rng.normal(0.0, sigma, size=(config.pool_size, anchor.size)), lo, hi)
     chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
     chosen[-1] = anchor
-    weight_prior = KdePrior(points=anchor[None, :], bandwidth=sigma, bandwidth_rule="fixed")
+    weight_prior = KdePrior(points=anchor[None, :], bandwidth=sigma)
     dens = np.atleast_1d(la.density(weight_prior, chosen))
     return chosen, la.weights_from_densities(dens, config.visit_budget).tolist()
 
@@ -188,8 +188,7 @@ def test_expand_whole_pool_when_k_equals_pool(stack_task, prior):
 def test_expand_degenerate_prior_concentrates_on_anchor(stack_task):
     obs = la.reset(stack_task, 3)
     anchor = flatten_chunk(ExpertPolicy().propose(obs))
-    tight = KdePrior(points=anchor[None, :], bandwidth=1e-12,
-                     bandwidth_rule="fixed")
+    tight = KdePrior(points=anchor[None, :], bandwidth=1e-12)
     root = TreeNode(obs=obs, incoming_action=anchor)
     kids = expand(root, tight, SearchConfig(), seed=14)
     for k in kids:
@@ -406,8 +405,7 @@ def test_ucb_unexpanded_node_errors():
 def test_search_single_candidate_dominance(stack_task):
     obs = la.reset(stack_task, 20)
     a_star = np.array([0.03, 0.0, -0.02, 0.0])
-    tight = KdePrior(points=a_star[None, :], bandwidth=1e-10,
-                     bandwidth_rule="fixed")
+    tight = KdePrior(points=a_star[None, :], bandwidth=1e-10)
     reward_fn = _goal_reward(obs, la.Action((0.03, 0.0, -0.02), 0.0))
     chunk = la.ActionChunk((la.Action.zero(),))
     res = run_search(obs, chunk, tight, la.step, reward_fn, SearchConfig(), seed=21)
