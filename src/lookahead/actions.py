@@ -125,11 +125,24 @@ def flatten_chunk(chunk: ActionChunk) -> np.ndarray:
     return np.concatenate([a.to_vector() for a in chunk])
 
 
+def split_actions(vals: list[float]) -> list[Action]:
+    """One validated ``Action`` per ``ACTION_DIM`` floats of a flattened chunk.
+
+    The split that :func:`unflatten_chunk` wraps into an ``ActionChunk`` and
+    that the search's rollout steps through directly.
+    """
+    size = len(vals)
+    if size < 1 or size % ACTION_DIM:
+        raise ValueError(f"cannot split a {size}-vector into whole actions")
+    if size > MAX_CHUNK_LEN * ACTION_DIM:
+        raise ValueError(f"chunk length must be in [1, {MAX_CHUNK_LEN}], got {size // ACTION_DIM}")
+    return [Action((vals[i], vals[i + 1], vals[i + 2]), vals[i + 3])
+            for i in range(0, size, ACTION_DIM)]
+
+
 def unflatten_chunk(vec: Sequence[float] | np.ndarray, n_actions: int) -> ActionChunk:
     """Inverse of :func:`flatten_chunk` for a known chunk length."""
     arr = np.asarray(vec, dtype=float).ravel()
     if n_actions < 1 or arr.size != n_actions * ACTION_DIM:
         raise ValueError(f"cannot split a {arr.size}-vector into {n_actions} actions")
-    vals = arr.tolist()
-    return ActionChunk(tuple(Action(delta=tuple(vals[i:i + 3]), grip=vals[i + 3])
-                             for i in range(0, len(vals), ACTION_DIM)))
+    return ActionChunk(split_actions(arr.tolist()))

@@ -415,6 +415,9 @@ def _learned_scorer(config: RunConfig, prior: KdePrior, reward_model: RewardMode
     if reward_model.weights.size != feature_length(config.task) + 1:
         raise ValueError(f"reward model with {reward_model.weights.size - 1} feature weights does not "
                          f"match task {config.task.task_id!r} ({feature_length(config.task)} features)")
+    if reward_model.task_kind != config.task.task_id:
+        raise ValueError(f"reward model fitted for task {reward_model.task_kind!r} does not match "
+                         f"task {config.task.task_id!r}")
     if config.search.noise_sigma is not None:
         # the noise arm's one-point prior: a bandwidth it cannot use fails here
         KdePrior(points=prior.points[:1], bandwidth=config.search.noise_sigma)

@@ -178,7 +178,8 @@ def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
     terms = np.zeros((q2.shape[0], prior.n_points))
     terms[:, order[lo:hi]] = near
     norm = (2.0 * math.pi) ** (-d / 2.0) * h ** (-d)
-    vals = norm * terms.mean(axis=1)
+    # the row means as numpy's terms.mean(axis=1) takes them: one pairwise sum, one divide
+    vals = norm * (np.add.reduce(terms, axis=1) / prior.n_points)
     return float(vals[0]) if single else vals
 
 
@@ -194,7 +195,7 @@ def top_k_near(pool: SamplePool, k: int) -> np.ndarray:
     diff = pool.candidates - pool.anchor[None, :]
     dists = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm(diff, axis=1)
     order = np.argsort(dists, kind="stable")[:k]
-    return pool.candidates[order].copy()
+    return pool.candidates[order]  # fancy indexing: a fresh array
 
 
 def weights_from_densities(densities: np.ndarray, total_budget: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .actions import Action
+from .actions import ACTION_DIM, Action
 from .errors import DataError, require_keys
 from .world import Observation
 
@@ -89,18 +89,43 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
             fh.write(json.dumps(trajectory_record(traj)) + "\n")
 
 
+def _frame_error(where: str, frames: object, index: int, exc: Exception) -> DataError:
+    """The DataError for a record whose frame ``index`` failed to parse with ``exc``."""
+    if not isinstance(frames, list):
+        return DataError(f"{where}: 'frames' must be a list, got {type(frames).__name__}")
+    frame = frames[index]
+    where = f"{where} frame {index}"
+    if not isinstance(frame, dict):
+        return DataError(f"{where} must be a JSON object, got {type(frame).__name__}")
+    if isinstance(exc, KeyError):
+        return DataError(f"{where}: missing key {exc.args[0]!r}")
+    action = frame.get("action")
+    if not (isinstance(action, list) and len(action) == ACTION_DIM
+            and all(isinstance(v, (int, float)) for v in action)):
+        return DataError(f"{where}: 'action' must be a list of {ACTION_DIM} numbers, got {action!r}")
+    return DataError(f"{where}: malformed 'obs' ({exc})")
+
+
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    """The file's trajectories; each distinct task dict in it is parsed once."""
+    """The file's trajectories; each distinct task dict in it is parsed once.
+
+    A record or frame that cannot be parsed is a DataError naming the file,
+    the line and the key; the frames are only examined once a parse failed.
+    """
     tasks: dict = {}
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
-                record = require_keys(json.loads(line), ("task_id", "seed", "success", "frames"),
-                                      f"{path} line {number}")
-                frames = tuple((Observation.from_dict(f["obs"], tasks),
-                                Action(delta=tuple(f["action"][:3]), grip=f["action"][3]))
-                               for f in record["frames"])
+                where = f"{path} line {number}"
+                record = require_keys(json.loads(line), ("task_id", "seed", "success", "frames"), where)
+                frames = []
+                try:
+                    for f in record["frames"]:
+                        frames.append((Observation.from_dict(f["obs"], tasks),
+                                       Action(delta=tuple(f["action"][:3]), grip=f["action"][3])))
+                except (KeyError, TypeError, IndexError) as exc:
+                    raise _frame_error(where, record["frames"], len(frames), exc) from None
                 out.append(Trajectory(record["task_id"], frames, record["success"], record["seed"]))
     return out
 

@@ -28,6 +28,7 @@ from .actions import (
     action_bounds,
     blend_actions,
     flatten_chunk,
+    split_actions,
     unflatten_chunk,
 )
 from .errors import StateError, require_types
@@ -145,11 +146,11 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
     chosen[-1] = anchor  # anchor injection
-    dens = np.atleast_1d(density(prior, chosen))
-    weights = weights_from_densities(dens, config.visit_budget)
+    weights = weights_from_densities(density(prior, chosen), config.visit_budget)
 
+    # each child holds a row of ``chosen``, which this expansion owns
     node.children = [
-        TreeNode(incoming_action=chosen[i].copy(), visits=int(weights[i]),
+        TreeNode(incoming_action=chosen[i], visits=int(weights[i]),
                  parent=node, depth=node.depth + 1, index=i)
         for i in range(config.k)
     ]
@@ -160,9 +161,8 @@ def simulate(node: TreeNode, world: WorldModel, reward: RewardFn) -> float:
     """Roll the node's incoming action(s) through the world model and score it."""
     if node.parent is None or node.parent.obs is None:
         raise StateError("simulate needs a parent with a realized observation")
-    vec = np.asarray(node.incoming_action, dtype=float)
     obs = node.parent.obs
-    for a in unflatten_chunk(vec, vec.size // ACTION_DIM):
+    for a in split_actions(np.asarray(node.incoming_action, dtype=float).ravel().tolist()):
         obs = world(obs, a)
     node.obs = obs
     node.reward = float(reward(obs))

@@ -224,7 +224,8 @@ def reset(task: TaskSpec, seed: int) -> Observation:
     rng = rng_from("reset", task.task_id, seed)
     objects = []
     for x, y in _NOMINAL_XY[type(task.kind)]:
-        jx, jy = rng.uniform(-RESET_JITTER, RESET_JITTER, size=2)
+        # as Python floats, so no state carries numpy scalars
+        jx, jy = rng.uniform(-RESET_JITTER, RESET_JITTER, size=2).tolist()
         objects.append(ObjectState((x + jx, y + jy, OBJECT_HALF_SIZE), OBJECT_HALF_SIZE))
     return Observation(
         gripper_pos=HOME_POSE,
@@ -354,7 +355,8 @@ def imperfect_step(obs: Observation, action: Action, epsilon: float, model_seed:
     key = derive_seed("model", obs.canonical_bytes(),
                       struct.pack(">4d", *action.delta, action.grip), model_seed)
     rng = np.random.default_rng(key)
-    off = rng.uniform(-epsilon, epsilon, size=3 + 3 * len(base.objects))
+    # as Python floats: the same IEEE sums, and the state keeps plain floats
+    off = rng.uniform(-epsilon, epsilon, size=3 + 3 * len(base.objects)).tolist()
     gp = (_clip01(base.gripper_pos[0] + off[0]),
           _clip01(base.gripper_pos[1] + off[1]),
           _clip01(base.gripper_pos[2] + off[2]))

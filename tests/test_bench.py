@@ -494,6 +494,19 @@ def test_ablate_reward_rejects_a_bank_of_another_task_before_any_episode(
     assert episodes == []
 
 
+def test_run_benchmark_rejects_a_reward_model_of_another_task_before_any_episode(
+        run_config, prior, reward_model, monkeypatch):
+    # the same feature length as the config's task, but fitted under another task's name
+    cfg = _tiny_config(run_config, n=2)
+    relabelled = dataclasses.replace(reward_model, task_kind="pick-place")
+    episodes = []
+    monkeypatch.setattr(la.bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    with pytest.raises(ValueError, match=r"^reward model fitted for task 'pick-place' does not match "
+                                         r"task 'stack'$"):
+        la.run_benchmark(cfg, prior, relabelled, workers=1)
+    assert episodes == []
+
+
 def test_sweep_model_error_structure(run_config, prior, reward_model):
     cfg = _tiny_config(run_config, n=3)
     cfg = dataclasses.replace(cfg, epsilons=(0.0, 0.02))

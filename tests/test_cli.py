@@ -219,6 +219,23 @@ def test_mismatched_artifacts_exit_one_before_any_episode(workdir, monkeypatch, 
     assert episodes == []
 
 
+def test_reward_model_of_another_task_fails_run(workdir, tmp_path, monkeypatch, capsys):
+    _, cfg, out = workdir
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("demos.jsonl", "prior.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    model = json.loads((out / "reward.json").read_text(encoding="utf-8"))
+    assert model["task_kind"] == "stack"
+    (bad / "reward.json").write_text(json.dumps(dict(model, task_kind="pick-place")), encoding="utf-8")
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    assert main(["run", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
+    assert ("ValueError: reward model fitted for task 'pick-place' does not match task 'stack'"
+            in capsys.readouterr().err)
+    assert episodes == []
+
+
 @pytest.mark.parametrize("value, token", [(math.nan, "NaN"), (math.inf, "Infinity")])
 def test_non_finite_prior_exits_one_before_any_episode(workdir, tmp_path, monkeypatch, capsys,
                                                        value, token):
@@ -274,6 +291,35 @@ def test_malformed_artifact_exits_one_before_any_episode(workdir, tmp_path, monk
     assert main(["ablate-reward", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
     assert named.format(path=bad / name) in capsys.readouterr().err
     assert episodes == []
+
+
+def _edit_first_frame(edit):
+    """An edit of a demo file's text that applies ``edit`` to the first frame of its line 1."""
+    def apply(text):
+        first, rest = text.split("\n", 1)
+        record = json.loads(first)
+        record["frames"][0] = edit(record["frames"][0])
+        return json.dumps(record) + "\n" + rest
+    return apply
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda f: dict(f, obs={k: v for k, v in f["obs"].items() if k != "step_index"}),
+     "line 1 frame 0: missing key 'step_index'"),
+    (lambda f: [f["obs"], f["action"]], "line 1 frame 0 must be a JSON object, got list"),
+    (lambda f: {"obs": f["obs"]}, "line 1 frame 0: missing key 'action'"),
+    (lambda f: dict(f, action=f["action"][:2]), "line 1 frame 0: 'action' must be a list of 4 numbers"),
+], ids=["obs-without-step-index", "frame-is-a-list", "frame-without-action", "two-element-action"])
+def test_malformed_demo_frame_fails_fit_prior(workdir, tmp_path, capsys, edit, named):
+    _, cfg, out = workdir
+    bad = tmp_path / "out"
+    bad.mkdir()
+    demos = bad / "demos.jsonl"
+    demos.write_text(_edit_first_frame(edit)((out / "demos.jsonl").read_text(encoding="utf-8")),
+                     encoding="utf-8")
+    assert main(["fit-prior", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
+    assert f"DataError: {demos} {named}" in capsys.readouterr().err
+    assert not (bad / "prior.json").exists()
 
 
 def test_tiny_prior_bandwidth_fails_fit_prior(workdir, tmp_path, capsys):

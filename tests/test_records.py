@@ -93,3 +93,46 @@ def test_episode_record_excludes_wall_time():
 def test_episode_result_bounds():
     with pytest.raises(ValueError):
         EpisodeResult(task_id="stack", success=True, steps_taken=1, final_reward=1.5)
+
+
+def _frame_edit(edit):
+    """An edit of a demo file's text that applies ``edit`` to frame 1 of its line 2."""
+    def apply(text):
+        lines = text.splitlines()
+        record = json.loads(lines[1])
+        record["frames"][1] = edit(record["frames"][1])
+        lines[1] = json.dumps(record)
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+def _drop(frame, *keys):
+    frame = json.loads(json.dumps(frame))
+    inner = frame
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return frame
+
+
+# (edit of the demo file, the error's text after "<path> line 2 frame 1")
+MALFORMED_FRAMES = {
+    "obs-without-step-index": (_frame_edit(lambda f: _drop(f, "obs", "step_index")),
+                               ": missing key 'step_index'"),
+    "frame-is-a-list": (_frame_edit(lambda f: [f["obs"], f["action"]]),
+                        " must be a JSON object, got list"),
+    "frame-without-action": (_frame_edit(lambda f: _drop(f, "action")), ": missing key 'action'"),
+    "two-element-action": (_frame_edit(lambda f: dict(f, action=f["action"][:2])),
+                           ": 'action' must be a list of 4 numbers, got [0.01, 0.0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+def test_malformed_frame_is_a_named_data_error(tmp_path, stack_task, case):
+    edit, named = MALFORMED_FRAMES[case]
+    path = tmp_path / "demos.jsonl"
+    write_trajectories(path, [_tiny_traj(stack_task, seed=s) for s in (1, 2)])
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        la.load_demos(path)
+    assert str(err.value) == f"{path} line 2 frame 1{named}"

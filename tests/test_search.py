@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import defaultdict
 
@@ -25,6 +26,7 @@ from lookahead.search import (
     simulate,
 )
 from lookahead.seeding import derive_seed
+from lookahead.world import GRASP_RADIUS
 
 
 def _goal_reward(obs0, action):
@@ -260,6 +262,69 @@ def test_simulate_requires_realized_parent():
     orphan = TreeNode(incoming_action=np.zeros(4))
     with pytest.raises(StateError):
         simulate(orphan, la.step, lambda o: 0.0)
+
+
+def _edge_vectors(rng, n_actions, count):
+    """Random flattened chunks in bounds; about a quarter of the components sit
+    on their lower bound and a quarter on their upper one (deltas at
+    -/+DELTA_BOUND, grips of exactly 0 and 1)."""
+    lo, hi = la.action_bounds(n_actions)
+    vecs = rng.uniform(lo, hi, size=(count, lo.size))
+    edge = rng.integers(0, 4, size=vecs.shape)
+    return np.where(edge == 0, lo, np.where(edge == 1, hi, vecs))
+
+
+def _start_states(task):
+    """Reset states, states holding the source block, and last an open gripper
+    exactly GRASP_RADIUS from the source block."""
+    states = [la.reset(task, s) for s in range(4)]
+    for s in range(2):
+        obs = la.reset(task, 10 + s)
+        src = obs.objects[task.kind.src]
+        states.append(la.step(dataclasses.replace(obs, gripper_pos=src.pos), la.Action.zero(1.0)))
+    obs = la.reset(task, 19)
+    src = obs.objects[task.kind.src]
+    states.append(dataclasses.replace(
+        obs, gripper_pos=(src.pos[0] + GRASP_RADIUS, src.pos[1], src.pos[2])))
+    return states
+
+
+@pytest.mark.parametrize("n_actions", [1, 4, 8])
+@pytest.mark.parametrize("world", ["exact", "model"])
+def test_simulate_matches_stepping_the_unflattened_chunk(stack_task, n_actions, world):
+    step = la.step if world == "exact" else (lambda o, a: la.imperfect_step(o, a, 0.02, 5))
+    reward_fn = lambda o: float(o.gripper_pos[0] + 0.5 * o.gripper_pos[2])
+    states = _start_states(stack_task)
+    vecs = _edge_vectors(np.random.default_rng(100 + n_actions), n_actions, 300)
+    cases = [(states[i % len(states)], vec) for i, vec in enumerate(vecs)]
+    # a close with no motion from every state, the one at the grasp radius last
+    close = np.tile([0.0, 0.0, 0.0, 1.0], n_actions)
+    cases += [(parent, close) for parent in states]
+    for parent, vec in cases:
+        expected = parent
+        for a in unflatten_chunk(vec, n_actions):
+            expected = step(expected, a)
+        child = TreeNode(incoming_action=vec, parent=TreeNode(obs=parent), depth=1)
+        r = simulate(child, step, reward_fn)
+        assert child.obs == expected
+        assert child.obs.canonical_bytes() == expected.canonical_bytes()
+        assert r == child.reward == child.value == reward_fn(expected)
+    if world == "exact":
+        assert child.obs.held_object == stack_task.kind.src  # the radius is inclusive
+
+
+@pytest.mark.parametrize("vec", [
+    np.zeros(6),                                # not a whole number of actions
+    np.zeros(36),                               # nine actions, above MAX_CHUNK_LEN
+    np.array([0.0, np.nan, 0.0, 0.5]),          # a non-finite component
+    np.array([0.06, 0.0, 0.0, 0.5]),            # a delta beyond DELTA_BOUND
+], ids=["6-vector", "36-vector", "nan", "delta-0.06"])
+def test_simulate_rejects_what_unflatten_chunk_rejects(stack_task, vec):
+    with pytest.raises(ValueError):
+        unflatten_chunk(vec, vec.size // 4)
+    child = TreeNode(incoming_action=vec, parent=TreeNode(obs=la.reset(stack_task, 0)), depth=1)
+    with pytest.raises(ValueError):
+        simulate(child, la.step, lambda o: 0.0)
 
 
 # --- backpropagate --------------------------------------------------------

@@ -256,6 +256,21 @@ def test_imperfect_step_deviation_bounded(stack_task):
         assert dev <= eps + 1e-12
 
 
+def test_imperfect_step_states_hold_python_floats(stack_task):
+    # numpy scalars would ride along into later steps, feature renders and hashes
+    rng = np.random.default_rng(18)
+    for trial in range(20):
+        obs = la.reset(stack_task, trial)
+        src = obs.objects[stack_task.kind.src]
+        if trial % 2:  # start on the source block, so a close can pick it up
+            obs = dataclasses.replace(obs, gripper_pos=src.pos)
+        for t in range(6):
+            a = la.Action(tuple(rng.uniform(-0.05, 0.05, 3)), float(t % 3 == 0))
+            obs = la.imperfect_step(obs, a, 0.02, trial)
+            coords = [*obs.gripper_pos] + [v for o in obs.objects for v in (*o.pos, o.half_size)]
+            assert [type(v) for v in coords] == [float] * len(coords)
+
+
 def test_render_features_length_and_determinism(stack_task):
     obs = la.reset(stack_task, 17)
     f = render_features(obs)
