@@ -256,7 +256,7 @@ def run_episode(
     while not success and steps < config.task.horizon:
         if use_reasoner:
             chunk = act(obs, policy, prior, world_fn, reward_fn, config.search,
-                        invocations, derive_seed(episode_seed, "search", invocations))
+                        derive_seed(episode_seed, "search", invocations))
         else:
             chunk = policy.propose(obs)
         invocations += 1

@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,8 @@ class KdePrior:
         except OverflowError:
             raise ValueError(f"bandwidth {h!r} is too small for dimension {self.dim}: "
                              f"h ** -{self.dim} overflows") from None
-        if 2.0 * h * h == 0.0:  # the density's exponent divides by it
-            raise ValueError(f"bandwidth {h!r} is too small: 2 * h * h underflows to 0")
+        if 2.0 * h * h < sys.float_info.min:  # the density's exponent divides by it
+            raise ValueError(f"bandwidth {h!r} is too small: 2 * h * h underflows")
         object.__setattr__(self, "bandwidth", h)
 
     def __getstate__(self) -> dict:

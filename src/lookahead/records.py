@@ -89,6 +89,10 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
             fh.write(json.dumps(trajectory_record(traj)) + "\n")
 
 
+def _not_an_action(action: object) -> str:
+    return f"'action' must be a list of {ACTION_DIM} numbers, got {action!r}"
+
+
 def _frame_error(where: str, frames: object, index: int, exc: Exception) -> DataError:
     """The DataError for a record whose frame ``index`` failed to parse with ``exc``."""
     if not isinstance(frames, list):
@@ -99,18 +103,21 @@ def _frame_error(where: str, frames: object, index: int, exc: Exception) -> Data
         return DataError(f"{where} must be a JSON object, got {type(frame).__name__}")
     if isinstance(exc, KeyError):
         return DataError(f"{where}: missing key {exc.args[0]!r}")
+    if isinstance(exc, DataError):  # a check of the decoder, whose message names the key
+        return DataError(f"{where}: {exc}")
     action = frame.get("action")
     if not (isinstance(action, list) and len(action) == ACTION_DIM
             and all(isinstance(v, (int, float)) for v in action)):
-        return DataError(f"{where}: 'action' must be a list of {ACTION_DIM} numbers, got {action!r}")
+        return DataError(f"{where}: {_not_an_action(action)}")
     return DataError(f"{where}: malformed 'obs' ({exc})")
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     """The file's trajectories; each distinct task dict in it is parsed once.
 
-    A record or frame that cannot be parsed is a DataError naming the file,
-    the line and the key; the frames are only examined once a parse failed.
+    A record or frame that cannot be parsed, or whose action does not hold
+    exactly 4 numbers, is a DataError naming the file, the line and the key;
+    the frames are only examined once a parse failed.
     """
     tasks: dict = {}
     out = []
@@ -122,9 +129,12 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
                 frames = []
                 try:
                     for f in record["frames"]:
+                        action = f["action"]
+                        if len(action) != ACTION_DIM:
+                            raise DataError(_not_an_action(action))
                         frames.append((Observation.from_dict(f["obs"], tasks),
-                                       Action(delta=tuple(f["action"][:3]), grip=f["action"][3])))
-                except (KeyError, TypeError, IndexError) as exc:
+                                       Action(delta=tuple(action[:3]), grip=action[3])))
+                except (KeyError, TypeError, IndexError, DataError) as exc:
                     raise _frame_error(where, record["frames"], len(frames), exc) from None
                 out.append(Trajectory(record["task_id"], frames, record["success"], record["seed"]))
     return out

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, require_keys
+from .errors import DataError, require_keys, require_types
 from .records import Trajectory
 from .world import Observation, render_features
 
@@ -51,11 +51,14 @@ class RewardModel:
     train_mse: float | None = None
 
     def __post_init__(self) -> None:
+        require_types(self)
         weights = np.array(self.weights, dtype=float).ravel()
         weights.flags.writeable = False  # an own, fixed copy: head is derived from it
         object.__setattr__(self, "weights", weights)
         if self.weights.size < 2:
             raise ValueError("weights must cover at least one feature plus the bias")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
 

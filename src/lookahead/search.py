@@ -45,8 +45,9 @@ class SearchConfig:
     """Knobs for one search invocation.
 
     alpha is the injection weight: the executed action is
-    alpha * policy + (1 - alpha) * searched, so alpha = 1 disables the search
-    entirely and alpha = 0 executes the searched action alone. The "noise"
+    alpha * policy + (1 - alpha) * searched, so alpha = 0 executes the searched
+    action alone and alpha = 1 executes the policy's: the search still runs,
+    and the blend discards its result. The "noise"
     sampler is the "kde" one over a one-point prior: the node's incoming action
     with bandwidth noise_sigma, or the fitted prior's bandwidth when that is None.
     """
@@ -57,11 +58,9 @@ class SearchConfig:
     c: float = 1.0 / math.sqrt(2.0)
     alpha: float = 0.6
     visit_budget: int = 64
-    invoke_period: int = 1
     epsilon_model: float = 0.0
     sampler: str = "kde"  # "kde" | "noise" (ablation arm)
     noise_sigma: float | None = None  # None: match the prior bandwidth
-    blend_chunk: str = "first"  # "first" | "all"
 
     def __post_init__(self) -> None:
         require_types(self)
@@ -75,16 +74,12 @@ class SearchConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.visit_budget < self.k:
             raise ValueError("visit_budget must be >= k")
-        if self.invoke_period < 1:
-            raise ValueError("invoke_period must be >= 1")
         if self.epsilon_model < 0:
             raise ValueError("epsilon_model must be non-negative")
         if self.sampler not in ("kde", "noise"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.noise_sigma is not None and self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be positive when set")
-        if self.blend_chunk not in ("first", "all"):
-            raise ValueError(f"unknown blend_chunk mode {self.blend_chunk!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -299,23 +294,13 @@ def act(
     world: WorldModel,
     reward: RewardFn,
     config: SearchConfig,
-    step_counter: int,
     seed: int,
 ) -> ActionChunk:
-    """Query the policy once and, on scheduled steps, blend in the search result.
-
-    Off-schedule steps (step_counter not a multiple of invoke_period) pass the
-    policy proposal through untouched. In "first" blend mode only the leading
-    action of a chunk is blended and the rest pass through; "all" blends every
-    action pairwise.
-    """
+    """Query the policy once, search from its proposal, and blend the searched
+    chunk's first action into the proposal's; the rest of the chunk passes through."""
     chunk = policy.propose(obs)
-    if step_counter % config.invoke_period != 0:
-        return chunk
     if prior is None:
-        raise ValueError("a fitted prior is required on search steps")
+        raise ValueError("a fitted prior is required to search")
     result = run_search(obs, chunk, prior, world, reward, config, seed)
-    n = len(chunk) if config.blend_chunk == "all" else 1
-    searched = unflatten_chunk(result.action[:n * ACTION_DIM], n)
-    blended = tuple(blend_actions(v, s, config.alpha) for v, s in zip(chunk, searched))
-    return ActionChunk(blended + chunk.actions[n:])
+    searched = unflatten_chunk(result.action[:ACTION_DIM], 1)
+    return ActionChunk((blend_actions(chunk[0], searched[0], config.alpha), *chunk.actions[1:]))

@@ -20,7 +20,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .actions import Action, DELTA_LIMIT
-from .errors import require_types
+from .errors import DataError, require_types
 from .seeding import derive_seed, rng_from
 
 GRASP_RADIUS = 0.03  # closing within this distance of a center attaches the object
@@ -175,7 +175,11 @@ class Observation:
         """Parse ``to_dict``'s form. ``tasks`` memoizes parsed task specs across
         calls, keyed by the task dict's ``repr``, so a spec is reused only for a
         task dict with the same keys, values and value types (``1``, ``1.0`` and
-        ``True`` each parse and validate on their own)."""
+        ``True`` each parse and validate on their own).
+
+        A position without 3 coordinates, a ``step_index`` that is not an
+        integer, or a ``held_object`` that is neither null nor an object index
+        is a DataError naming the key."""
         task_doc = doc["task"]
         if tasks is None:
             task = TaskSpec.from_dict(task_doc)
@@ -184,13 +188,27 @@ class Observation:
             task = tasks.get(key)
             if task is None:
                 task = tasks[key] = TaskSpec.from_dict(task_doc)
+        gripper_pos = tuple(doc["gripper_pos"])
+        if len(gripper_pos) != 3:
+            raise DataError(f"'gripper_pos' must hold 3 coordinates, got {list(gripper_pos)!r}")
+        objects = tuple(ObjectState(tuple(o["pos"]), o["half_size"]) for o in doc["objects"])
+        for i, o in enumerate(objects):
+            if len(o.pos) != 3:
+                raise DataError(f"'pos' of object {i} must hold 3 coordinates, got {list(o.pos)!r}")
+        held = doc["held_object"]
+        if held is not None and not (type(held) is int and 0 <= held < len(objects)):
+            raise DataError(f"'held_object' must be null or an object index below {len(objects)}, "
+                            f"got {held!r}")
+        step_index = doc["step_index"]
+        if type(step_index) is not int:
+            raise DataError(f"'step_index' must be an integer, got {step_index!r}")
         return cls(
-            gripper_pos=tuple(doc["gripper_pos"]),
+            gripper_pos=gripper_pos,
             grip_closed=doc["grip_closed"],
-            held_object=doc["held_object"],
-            objects=tuple(ObjectState(tuple(o["pos"]), o["half_size"]) for o in doc["objects"]),
+            held_object=held,
+            objects=objects,
             task=task,
-            step_index=doc["step_index"],
+            step_index=step_index,
             waypoints_hit=doc.get("waypoints_hit", 0),
         )
 

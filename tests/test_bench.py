@@ -69,7 +69,7 @@ def test_run_config_dict_round_trip(run_config):
       ("n_episodes", "base_seed", "demo_count", "demo_seed", "reward_stride")),
     (PolicyParams, "chunk_len"),
     *((la.SearchConfig, name) for name in
-      ("k", "pool_size", "max_depth", "visit_budget", "invoke_period")),
+      ("k", "pool_size", "max_depth", "visit_budget")),
     (lambda **kw: la.TaskSpec(kind=la.Stack(), **kw), "horizon"),
     (lambda **kw: la.TaskSpec(kind=la.Stack(**kw)), "src"),
     (lambda **kw: la.TaskSpec(kind=la.Stack(**kw)), "dst"),
@@ -91,6 +91,8 @@ def _task_of(kind):
     (la.RunConfig, "ridge_lambda", "a number"),
     (la.RunConfig, "prior_bandwidth", "a number"),
     (lambda **kw: la.KdePrior(points=[[0.0], [1.0]], **kw), "bandwidth", "a number"),
+    (lambda **kw: la.RewardModel(task_kind="stack", weights=[0.5, 0.5], **kw), "ridge_lambda",
+     "a number"),
     (PolicyParams, "eta", "a number"),
     (PolicyParams, "sigma", "a number"),
     *((la.SearchConfig, name, "a number") for name in ("c", "alpha", "epsilon_model")),
@@ -571,11 +573,11 @@ def test_noise_arm_runs_the_configured_sigma(run_config, prior, reward_model):
 # for each protocol at the shipped config with 4 episodes per arm. A change
 # that moves one of these changes what some report says; it must say why.
 REPORT_DIGESTS = {
-    "run_benchmark": "2fbb584ec9e146331e28519a6be9e64ee4f7143b31eecb890e1c910a67c426f2",
-    "sweep_alpha": "b0d1fcd3469ab59e980cae3cf16481e5826bc4c47824377a07359ae7edcb228c",
-    "ablate_sampling": "0ee7c440bd0409f8c47a3605c3ab0f7ec194c8ca48c584482a9339d41d07d941",
-    "ablate_reward": "65669841a56137d78e4bcde209937db5f3194a2f1ce3a3944adc2091419c8cb8",
-    "sweep_model_error": "c86ae531d331965f0de7606d2ba2c0e3e42fca6b842e9ad9491a3ac52d9a94f2",
+    "run_benchmark": "6db51b082bc61fa6d6233a81042b02ecb41fa82c43c2e0d5d6976a00ef766543",
+    "sweep_alpha": "0690045bcf0cf295bf3cfaa83e13a3834a5b303e379d4279b8dd6ffb6489421f",
+    "ablate_sampling": "f2b907bb060ac5bdc7060b8a00401de6d9e96a948e2bbc0bf04b3040cbf71091",
+    "ablate_reward": "de9ca5c03c60c7ce458eaeb413909c7535031fc4f46af17b32e050aaf69281af",
+    "sweep_model_error": "9a99b4ec4e4d98c0e2c64680f56820fca8d28bbf824e71d83a039a91a9441f57",
 }
 
 

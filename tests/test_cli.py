@@ -168,6 +168,8 @@ def test_invalid_config_exits_two(tmp_path):
      "sweeps.epsilons entry -0.1: epsilon_model must be non-negative"),
     (dict(TINY, search={"c": math.nan}), "c must be a number, got nan"),
     (dict(TINY, prior={"bandwidth": "scott"}), "prior_bandwidth must be a number, got 'scott'"),
+    (dict(TINY, search={"invoke_period": 1}), "unknown key 'invoke_period' in config section 'search'"),
+    (dict(TINY, search={"blend_chunk": "first"}), "unknown key 'blend_chunk' in config section 'search'"),
 ])
 def test_unknown_config_keys_exit_two(tmp_path, monkeypatch, capsys, doc, named):
     cfg = tmp_path / "config.json"
@@ -268,6 +270,10 @@ def _without(key):
      "ValueError: bandwidth must be a number, got '0.01'"),
     ("reward.json", _without("ridge_lambda"), "DataError: {path}: missing key 'ridge_lambda'"),
     ("reward.json", lambda text: "null", "DataError: {path} must be a JSON object, got NoneType"),
+    ("reward.json", lambda text: text.replace('"ridge_lambda": 1.0', '"ridge_lambda": NaN'),
+     "ValueError: ridge_lambda must be a number, got nan"),
+    ("reward.json", lambda text: text.replace('"weights": [', '"weights": [Infinity, ', 1),
+     "ValueError: weights must be finite"),
     ("demos.jsonl",
      lambda text: text.split("\n", 1)[0] + '\n{"task_id": "stack", "seed": 0, "success": true}\n',
      "DataError: {path} line 2: missing key 'frames'"),
@@ -309,7 +315,20 @@ def _edit_first_frame(edit):
     (lambda f: [f["obs"], f["action"]], "line 1 frame 0 must be a JSON object, got list"),
     (lambda f: {"obs": f["obs"]}, "line 1 frame 0: missing key 'action'"),
     (lambda f: dict(f, action=f["action"][:2]), "line 1 frame 0: 'action' must be a list of 4 numbers"),
-], ids=["obs-without-step-index", "frame-is-a-list", "frame-without-action", "two-element-action"])
+    (lambda f: dict(f, action=[0.01, 0.0, 0.0, 0.0, 0.5]),
+     "line 1 frame 0: 'action' must be a list of 4 numbers, got [0.01, 0.0, 0.0, 0.0, 0.5]"),
+    (lambda f: dict(f, obs=dict(f["obs"], gripper_pos=[0.5, 0.5])),
+     "line 1 frame 0: 'gripper_pos' must hold 3 coordinates, got [0.5, 0.5]"),
+    (lambda f: dict(f, obs=dict(f["obs"], objects=[f["obs"]["objects"][0],
+                                                   dict(f["obs"]["objects"][1], pos=[0.6, 0.5, 0.02, 0.0])])),
+     "line 1 frame 0: 'pos' of object 1 must hold 3 coordinates, got [0.6, 0.5, 0.02, 0.0]"),
+    (lambda f: dict(f, obs=dict(f["obs"], step_index="0")),
+     "line 1 frame 0: 'step_index' must be an integer, got '0'"),
+    (lambda f: dict(f, obs=dict(f["obs"], held_object=7)),
+     "line 1 frame 0: 'held_object' must be null or an object index below 2, got 7"),
+], ids=["obs-without-step-index", "frame-is-a-list", "frame-without-action", "two-element-action",
+        "five-element-action", "two-coordinate-gripper-pos", "four-coordinate-object-pos",
+        "string-step-index", "held-object-out-of-range"])
 def test_malformed_demo_frame_fails_fit_prior(workdir, tmp_path, capsys, edit, named):
     _, cfg, out = workdir
     bad = tmp_path / "out"

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -241,12 +242,17 @@ def test_prior_rejects_a_bandwidth_whose_normalizer_overflows():
     with pytest.raises(ValueError, match="too small for dimension 4"):  # numpy powers return inf
         KdePrior(points=np.zeros((2, 4)), bandwidth=np.float64(1e-90))
     assert KdePrior(points=np.zeros((2, 1)), bandwidth=1e-90).bandwidth == 1e-90
-    # at d = 1, h ** -1 stays finite but the exponent's 2 * h * h underflows to 0
-    with pytest.raises(ValueError, match=r"^bandwidth 1e-170 is too small: 2 \* h \* h underflows to 0$"):
-        KdePrior(points=[[0.0], [1.0]], bandwidth=1e-170)
-    tiny = KdePrior(points=[[0.0], [1.0]], bandwidth=1e-160)
-    assert 0.0 < density(tiny, np.array([0.0])) < math.inf
-    assert density(tiny, np.array([0.5])) == 0.0
+    # at d = 1, h ** -1 stays finite but the exponent's 2 * h * h underflows: to 0 at
+    # 1e-170, and to a subnormal at 1e-160, by which a distance of 0.5 overflows to inf
+    for h in (1e-170, 1e-160):
+        with pytest.raises(ValueError, match=rf"^bandwidth {h!r} is too small: 2 \* h \* h underflows$"):
+            KdePrior(points=[[0.0], [1.0]], bandwidth=h)
+    tiny = KdePrior(points=[[0.0], [1.0]], bandwidth=1.0548e-154)  # 2 * h * h is just normal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = density(tiny, np.array([[0.0], [0.5], [1.0]]))  # one window over both points
+    assert 0.0 < values[0] == values[2] < math.inf
+    assert values[1] == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -115,6 +115,15 @@ def _drop(frame, *keys):
     return frame
 
 
+def _set(frame, value, *keys):
+    frame = json.loads(json.dumps(frame))
+    inner = frame
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return frame
+
+
 # (edit of the demo file, the error's text after "<path> line 2 frame 1")
 MALFORMED_FRAMES = {
     "obs-without-step-index": (_frame_edit(lambda f: _drop(f, "obs", "step_index")),
@@ -124,6 +133,17 @@ MALFORMED_FRAMES = {
     "frame-without-action": (_frame_edit(lambda f: _drop(f, "action")), ": missing key 'action'"),
     "two-element-action": (_frame_edit(lambda f: dict(f, action=f["action"][:2])),
                            ": 'action' must be a list of 4 numbers, got [0.01, 0.0]"),
+    "five-element-action": (_frame_edit(lambda f: dict(f, action=[0.01, 0.0, 0.0, 0.0, 0.5])),
+                            ": 'action' must be a list of 4 numbers, got [0.01, 0.0, 0.0, 0.0, 0.5]"),
+    "two-coordinate-gripper-pos": (_frame_edit(lambda f: _set(f, [0.5, 0.5], "obs", "gripper_pos")),
+                                   ": 'gripper_pos' must hold 3 coordinates, got [0.5, 0.5]"),
+    "four-coordinate-object-pos": (
+        _frame_edit(lambda f: _set(f, [0.6, 0.5, 0.02, 0.0], "obs", "objects", 1, "pos")),
+        ": 'pos' of object 1 must hold 3 coordinates, got [0.6, 0.5, 0.02, 0.0]"),
+    "string-step-index": (_frame_edit(lambda f: _set(f, "1", "obs", "step_index")),
+                          ": 'step_index' must be an integer, got '1'"),
+    "held-object-out-of-range": (_frame_edit(lambda f: _set(f, 7, "obs", "held_object")),
+                                 ": 'held_object' must be null or an object index below 2, got 7"),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -284,6 +285,17 @@ def test_reward_model_validation():
         RewardModel("stack", np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         RewardModel("stack", np.array([1.0, 2.0]), -0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reward_model_rejects_non_finite_weights(tmp_path, bad):
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        RewardModel("stack", np.array([0.5, bad, 0.5]), 1.0)
+    path = tmp_path / "reward.json"
+    path.write_text(json.dumps({"task_kind": "stack", "ridge_lambda": 1.0, "weights": [0.5, bad]}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        load_model(path)
 
 
 def test_labeled_frame_validation():

@@ -84,7 +84,7 @@ def test_config_defaults_are_valid():
     cfg = SearchConfig()
     assert cfg.k == 8 and cfg.pool_size == 256 and cfg.max_depth == 3
     assert cfg.c == pytest.approx(1 / math.sqrt(2))
-    assert cfg.alpha == 0.6 and cfg.visit_budget == 64 and cfg.invoke_period == 1
+    assert cfg.alpha == 0.6 and cfg.visit_budget == 64
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -95,11 +95,9 @@ def test_config_defaults_are_valid():
     dict(alpha=1.5),
     dict(alpha=-0.1),
     dict(visit_budget=4, k=8),
-    dict(invoke_period=0),
     dict(epsilon_model=-0.01),
     dict(sampler="magic"),
     dict(noise_sigma=0.0),
-    dict(blend_chunk="middle"),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -623,8 +621,8 @@ def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model,
     obs = la.reset(stack_task, 52)
     pol = ExpertPolicy()
     reward_fn = lambda o: la.predict_reward(reward_model, o)
-    for t in range(3):
-        act(obs, pol, prior, la.step, reward_fn, SearchConfig(), step_counter=t, seed=53)
+    for _ in range(3):
+        act(obs, pol, prior, la.step, reward_fn, SearchConfig(), seed=53)
     res = run_search(obs, pol.propose(obs), prior, la.step, reward_fn, SearchConfig(), seed=53)
     assert built == []  # acting and searching never flatten the tree
     first = res.trace
@@ -641,22 +639,32 @@ def test_act_alpha_one_returns_policy_action(stack_task, prior, reward_model):
     pol = ExpertPolicy()
     reward_fn = lambda o: la.predict_reward(reward_model, o)
     cfg = SearchConfig(alpha=1.0)
-    out = act(obs, pol, prior, la.step, reward_fn, cfg, step_counter=0, seed=41)
+    out = act(obs, pol, prior, la.step, reward_fn, cfg, seed=41)
     assert out == pol.propose(obs)
 
 
-def test_act_schedule_gates_the_search(stack_task, reward_model):
+def test_act_without_a_prior_is_a_named_error(stack_task, reward_model):
     obs = la.reset(stack_task, 42)
-    pol = ExpertPolicy()
     reward_fn = lambda o: la.predict_reward(reward_model, o)
-    cfg = SearchConfig(invoke_period=4)
-    # off-schedule steps never touch the prior, so None passes through
-    for t in (1, 2, 3, 5, 6, 7, 9):
-        out = act(obs, pol, None, la.step, reward_fn, cfg, step_counter=t, seed=43)
-        assert out == pol.propose(obs)
-    for t in (0, 4, 8):
-        with pytest.raises(ValueError):
-            act(obs, pol, None, la.step, reward_fn, cfg, step_counter=t, seed=43)
+    with pytest.raises(ValueError, match="^a fitted prior is required to search$"):
+        act(obs, ExpertPolicy(), None, la.step, reward_fn, SearchConfig(), seed=43)
+
+
+@pytest.mark.parametrize("chunk_len", [1, 4])
+def test_every_policy_query_runs_one_search(demos, reward_model, monkeypatch, chunk_len):
+    searches, proposals = [], []
+    search_fn, propose_fn = la.search.run_search, la.DriftPolicy.propose
+    monkeypatch.setattr(la.search, "run_search",
+                        lambda *args: searches.append(args) or search_fn(*args))
+    monkeypatch.setattr(la.DriftPolicy, "propose",
+                        lambda self, obs: proposals.append(obs) or propose_fn(self, obs))
+    cfg = la.RunConfig(task=la.TaskSpec(kind=la.Stack(), horizon=12),
+                       policy=la.PolicyParams(chunk_len=chunk_len))
+    chunk_prior = la.demo_prior(demos, chunk_len=chunk_len, bandwidth=cfg.prior_bandwidth)
+    reward_fn = lambda o: la.predict_reward(reward_model, o)
+    episode = la.run_episode(cfg, 3, use_reasoner=True, prior=chunk_prior, reward_fn=reward_fn)
+    assert len(searches) == len(proposals) == math.ceil(episode.steps_taken / chunk_len) > 0
+    assert [args[0] for args in searches] == proposals  # each search starts at the queried state
 
 
 def test_act_alpha_zero_executes_searched_action(stack_task, prior, reward_model):
@@ -665,7 +673,7 @@ def test_act_alpha_zero_executes_searched_action(stack_task, prior, reward_model
     reward_fn = lambda o: la.predict_reward(reward_model, o)
     cfg = SearchConfig(alpha=0.0)
     res = run_search(obs, pol.propose(obs), prior, la.step, reward_fn, cfg, seed=45)
-    out = act(obs, pol, prior, la.step, reward_fn, cfg, step_counter=0, seed=45)
+    out = act(obs, pol, prior, la.step, reward_fn, cfg, seed=45)
     assert np.array_equal(flatten_chunk(out), res.action)
 
 
@@ -678,23 +686,9 @@ def test_act_blends_first_action_of_chunks(stack_task, demos, reward_model):
     cfg = SearchConfig(alpha=0.6)
     res = run_search(obs, proposal, chunk_prior, la.step, reward_fn, cfg, seed=47)
     searched = unflatten_chunk(res.action, 4)
-    out = act(obs, pol, chunk_prior, la.step, reward_fn, cfg, step_counter=0, seed=47)
+    out = act(obs, pol, chunk_prior, la.step, reward_fn, cfg, seed=47)
     assert out.actions[0] == la.blend_actions(proposal[0], searched[0], 0.6)
     assert out.actions[1:] == proposal.actions[1:]  # tail passes through
-
-
-def test_act_blend_all_mode(stack_task, demos, reward_model):
-    chunk_prior = la.demo_prior(demos, chunk_len=2, bandwidth=0.01)
-    obs = la.reset(stack_task, 48)
-    pol = ExpertPolicy(chunk_len=2)
-    proposal = pol.propose(obs)
-    reward_fn = lambda o: la.predict_reward(reward_model, o)
-    cfg = SearchConfig(alpha=0.5, blend_chunk="all")
-    res = run_search(obs, proposal, chunk_prior, la.step, reward_fn, cfg, seed=49)
-    searched = unflatten_chunk(res.action, 2)
-    out = act(obs, pol, chunk_prior, la.step, reward_fn, cfg, step_counter=0, seed=49)
-    for got, v, s in zip(out.actions, proposal.actions, searched):
-        assert got == la.blend_actions(v, s, 0.5)
 
 
 def test_act_noise_sampler_runs(stack_task, prior, reward_model):
@@ -702,5 +696,5 @@ def test_act_noise_sampler_runs(stack_task, prior, reward_model):
     pol = ExpertPolicy()
     reward_fn = lambda o: la.predict_reward(reward_model, o)
     cfg = SearchConfig(sampler="noise")
-    out = act(obs, pol, prior, la.step, reward_fn, cfg, step_counter=0, seed=51)
+    out = act(obs, pol, prior, la.step, reward_fn, cfg, seed=51)
     assert len(out.actions) == 1  # sanity: produces a well-formed chunk
