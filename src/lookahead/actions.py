@@ -115,14 +115,27 @@ def blend_actions(proposal: Action, searched: Action, alpha: float) -> Action:
     alpha=1 keeps the policy."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    lo, hi = action_bounds(1)
-    out = alpha * proposal.to_vector() + (1.0 - alpha) * searched.to_vector()
-    return Action.from_vector(np.clip(out, lo, hi))
+    beta = 1.0 - alpha
+    (p0, p1, p2), pg = proposal.delta, proposal.grip
+    (s0, s1, s2), sg = searched.delta, searched.grip
+    # np.clip against the bound arrays, in Python floats: it keeps v if v > lo,
+    # then if v < hi. Against an array bound a -0.0 at the bound 0.0 becomes
+    # +0.0 (a scalar bound and max(v, lo) would keep -0.0), so the comparisons
+    # keep that form.
+    lo, hi = -DELTA_BOUND, DELTA_BOUND
+    v0, v1, v2, vg = (alpha * p0 + beta * s0, alpha * p1 + beta * s1,
+                      alpha * p2 + beta * s2, alpha * pg + beta * sg)
+    v0 = v0 if v0 > lo else lo
+    v1 = v1 if v1 > lo else lo
+    v2 = v2 if v2 > lo else lo
+    vg = vg if vg > 0.0 else 0.0
+    return Action((v0 if v0 < hi else hi, v1 if v1 < hi else hi, v2 if v2 < hi else hi),
+                  vg if vg < 1.0 else 1.0)
 
 
 def flatten_chunk(chunk: ActionChunk) -> np.ndarray:
     """Concatenate a chunk's actions into one vector of length 4 * len(chunk)."""
-    return np.concatenate([a.to_vector() for a in chunk])
+    return np.array([v for a in chunk.actions for v in (*a.delta, a.grip)])
 
 
 def split_actions(vals: list[float]) -> list[Action]:

@@ -14,20 +14,20 @@ class StateError(RuntimeError):
     """An operation was applied to an object in the wrong state."""
 
 
-def _is_number(value: object) -> bool:
+def is_number(value: object) -> bool:
     # a bool is neither; JSON NaN and Infinity parse to floats, but no setting takes them
     return type(value) is int or (isinstance(value, float) and math.isfinite(value))
 
 
 def _are_numbers(value: object) -> bool:
-    return isinstance(value, (tuple, list)) and all(_is_number(v) for v in value)
+    return isinstance(value, (tuple, list)) and all(is_number(v) for v in value)
 
 
 # field annotation -> (test of a value, what a value must be)
 _FIELD_TYPES = {
     "int": (lambda v: type(v) is int, "an integer"),
-    "float": (_is_number, "a number"),
-    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+    "float": (is_number, "a number"),
+    "float | None": (lambda v: v is None or is_number(v), "a number or null"),
     "tuple[float, ...]": (_are_numbers, "a list of numbers"),
     "tuple[float, float, float]": (lambda v: _are_numbers(v) and len(v) == 3, "a list of 3 numbers"),
 }

@@ -163,21 +163,23 @@ def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
         qk = q2[:, key].tolist()
         lo = int(np.searchsorted(keys, min(qk) - r, "left"))
         hi = int(np.searchsorted(keys, max(qk) + r, "right"))
-    # The (q, w, d) differences a - a_i as one subtraction over whole rows: each
+    # The (q * w, d) differences a - a_i as one subtraction over whole rows: each
     # query repeated once per window point, minus the flattened window. The same
     # values and layout as the broadcast q2[:, None] - window[None], whose inner
     # loops would run over d alone.
-    diffs = np.tile(q2, (1, hi - lo))
+    m, w = q2.shape[0], hi - lo
+    diffs = np.repeat(q2, w, axis=0).reshape(m, w * d)
     diffs -= points[lo:hi].reshape(1, -1)
-    diffs = diffs.reshape(q2.shape[0], hi - lo, d)
-    near = np.einsum("qnd,qnd->qn", diffs, diffs)
+    diffs = diffs.reshape(m * w, d)
+    # one squared norm per (query, point) row, each a sum over its d entries
+    near = np.einsum("nd,nd->n", diffs, diffs)
     # exp(-||a - a_i||^2 / (2 h^2)) in place; (-x) / y == x / (-y) exactly
     near /= -two_h2
     np.exp(near, out=near)
     # every term at its support point's original position, so the mean sums
     # the same values in the same order as over the whole support
-    terms = np.zeros((q2.shape[0], prior.n_points))
-    terms[:, order[lo:hi]] = near
+    terms = np.zeros((m, prior.n_points))
+    terms[:, order[lo:hi]] = near.reshape(m, w)
     norm = (2.0 * math.pi) ** (-d / 2.0) * h ** (-d)
     # the row means as numpy's terms.mean(axis=1) takes them: one pairwise sum, one divide
     vals = norm * (np.add.reduce(terms, axis=1) / prior.n_points)

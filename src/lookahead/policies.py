@@ -27,8 +27,10 @@ PLACE_SLACK = 0.006  # vertical slack before releasing over the placement point
 def _move_toward(pos: tuple[float, float, float], target: tuple[float, float, float],
                  grip: float) -> Action:
     # componentwise clamp of the offset to one step
-    d = tuple(max(-DELTA_BOUND, min(DELTA_BOUND, t - p)) for p, t in zip(pos, target))
-    return Action(d, grip)
+    b = DELTA_BOUND
+    return Action((max(-b, min(b, target[0] - pos[0])),
+                   max(-b, min(b, target[1] - pos[1])),
+                   max(-b, min(b, target[2] - pos[2]))), grip)
 
 
 def expert_action(obs: Observation) -> Action:
@@ -130,13 +132,21 @@ class DriftPolicy:
 
     def _drift_action(self, obs: Observation) -> Action:
         base = expert_action(obs)
-        noise = self._rng.normal(0.0, self.sigma, size=3)
-        delta = np.clip(np.asarray(base.delta) + self._bias + noise,
-                        -DELTA_BOUND, DELTA_BOUND)
+        n0, n1, n2 = self._rng.normal(0.0, self.sigma, size=3).tolist()
+        d0, d1, d2 = base.delta
+        b0, b1, b2 = bias = self._bias.tolist()
+        # in Python floats, the array form's IEEE operations in its order:
+        # (delta + bias) + noise, then np.clip against scalar bounds, which keeps
+        # x unless x < lo and then unless x > hi, as max(x, lo) and min(x, hi) do
+        lo, hi = -DELTA_BOUND, DELTA_BOUND
+        delta = (min(max((d0 + b0) + n0, lo), hi),
+                 min(max((d1 + b1) + n1, lo), hi),
+                 min(max((d2 + b2) + n2, lo), hi))
         # bias update happens after the action, so a fresh reset emits
         # the expert action plus noise alone
         u = self._rng.normal(size=3)
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(u.dot(u))  # np.linalg.norm's formula for a real vector
         if norm > 0.0:
-            self._bias = self._bias + self.eta * (u / norm)
-        return Action(tuple(delta), base.grip)
+            eta = self.eta
+            self._bias = np.array([b + eta * (x / norm) for b, x in zip(bias, u.tolist())])
+        return Action(delta, base.grip)

@@ -116,8 +116,8 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
     """The file's trajectories; each distinct task dict in it is parsed once.
 
     A record or frame that cannot be parsed, or whose action does not hold
-    exactly 4 numbers, is a DataError naming the file, the line and the key;
-    the frames are only examined once a parse failed.
+    exactly 4 numbers that form a valid ``Action``, is a DataError naming the
+    file, the line and the key; the frames are only examined once a parse failed.
     """
     tasks: dict = {}
     out = []
@@ -132,8 +132,12 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
                         action = f["action"]
                         if len(action) != ACTION_DIM:
                             raise DataError(_not_an_action(action))
-                        frames.append((Observation.from_dict(f["obs"], tasks),
-                                       Action(delta=tuple(action[:3]), grip=action[3])))
+                        obs = Observation.from_dict(f["obs"], tasks)
+                        try:
+                            act = Action(delta=tuple(action[:3]), grip=action[3])
+                        except ValueError as exc:  # four values, but no valid action
+                            raise DataError(f"'action' {action!r} is invalid: {exc}") from None
+                        frames.append((obs, act))
                 except (KeyError, TypeError, IndexError, DataError) as exc:
                     raise _frame_error(where, record["frames"], len(frames), exc) from None
                 out.append(Trajectory(record["task_id"], frames, record["success"], record["seed"]))

@@ -69,9 +69,9 @@ class RewardModel:
         return state
 
     @functools.cached_property
-    def head(self) -> tuple[np.ndarray, np.float64]:
+    def head(self) -> tuple[np.ndarray, float]:
         """(feature weights, bias): ``weights`` split once, on first use."""
-        return self.weights[:-1], self.weights[-1]
+        return self.weights[:-1], float(self.weights[-1])
 
 
 def downsample(traj: Trajectory, stride: int) -> list[Observation]:
@@ -147,7 +147,7 @@ def predict_reward(model: RewardModel, obs: Observation) -> float:
         raise ValueError(
             f"feature length {feats.size} does not match model with {head.size} feature weights"
         )
-    raw = float(feats @ head + bias)
+    raw = float(feats @ head) + bias
     return min(1.0, max(0.0, raw))
 
 

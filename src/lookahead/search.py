@@ -141,12 +141,12 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
     chosen[-1] = anchor  # anchor injection
-    weights = weights_from_densities(density(prior, chosen), config.visit_budget)
+    visits = weights_from_densities(density(prior, chosen), config.visit_budget).tolist()
 
     # each child holds a row of ``chosen``, which this expansion owns
+    depth = node.depth + 1
     node.children = [
-        TreeNode(incoming_action=chosen[i], visits=int(weights[i]),
-                 parent=node, depth=node.depth + 1, index=i)
+        TreeNode(incoming_action=chosen[i], visits=visits[i], parent=node, depth=depth, index=i)
         for i in range(config.k)
     ]
     return node.children
@@ -157,7 +157,7 @@ def simulate(node: TreeNode, world: WorldModel, reward: RewardFn) -> float:
     if node.parent is None or node.parent.obs is None:
         raise StateError("simulate needs a parent with a realized observation")
     obs = node.parent.obs
-    for a in split_actions(np.asarray(node.incoming_action, dtype=float).ravel().tolist()):
+    for a in split_actions(node.incoming_action.tolist()):
         obs = world(obs, a)
     node.obs = obs
     node.reward = float(reward(obs))
@@ -277,12 +277,13 @@ def run_search(
         raise ValueError(f"prior dimension {prior.dim} does not match the proposal length {anchor.size}")
     root = TreeNode(obs=obs, incoming_action=anchor, reward=float(reward(obs)))
     node = root
-    for _ in range(config.max_depth):
+    for level in range(1, config.max_depth + 1):
         children = expand(node, prior, config, seed)
         for child in children:
             simulate(child, world, reward)
         backpropagate(children[-1])
-        node = select_ucb(node, config.c)
+        if level < config.max_depth:  # the last level's pick would go unread
+            node = select_ucb(node, config.c)
     best = max(root.children, key=lambda ch: ch.value)  # ties keep the lowest index
     return SearchResult(action=np.asarray(best.incoming_action, dtype=float).copy(), root=root)
 

@@ -118,6 +118,28 @@ def test_blend_stays_on_segment_without_clamping():
         assert abs(out.grip - (alpha * 0.2 + (1 - alpha) * 0.8)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+def test_blend_equals_the_clipped_array_form_bit_for_bit(alpha):
+    # components at +-0.0, on each bound and (within the validation slack) beyond it
+    over = DELTA_BOUND + 5e-13
+    deltas = [0.0, -0.0, DELTA_BOUND, -DELTA_BOUND, over, -over, 0.013]
+    grips = [0.0, -0.0, 1.0, 0.5]
+    lo, hi = action_bounds(1)
+    rng = np.random.default_rng(5)
+    for _ in range(4000):
+        p = Action(tuple(rng.choice(deltas, 3).tolist()), float(rng.choice(grips)))
+        s = Action(tuple(rng.choice(deltas, 3).tolist()), float(rng.choice(grips)))
+        want = np.clip(alpha * p.to_vector() + (1 - alpha) * s.to_vector(), lo, hi)
+        got = blend_actions(p, s, alpha)
+        assert np.array([*got.delta, got.grip]).tobytes() == want.tobytes()
+
+
+def test_blend_clamps_a_negative_zero_grip_as_the_array_bound_does():
+    # np.clip against the bound array maps -0.0 at the bound 0.0 to +0.0
+    out = blend_actions(Action.zero(grip=-0.0), Action.zero(grip=-0.0), 0.6)
+    assert math.copysign(1.0, out.grip) == 1.0
+
+
 def test_blend_rejects_bad_alpha():
     a = Action.zero()
     with pytest.raises(ValueError):

@@ -326,9 +326,28 @@ def _edit_first_frame(edit):
      "line 1 frame 0: 'step_index' must be an integer, got '0'"),
     (lambda f: dict(f, obs=dict(f["obs"], held_object=7)),
      "line 1 frame 0: 'held_object' must be null or an object index below 2, got 7"),
+    (lambda f: dict(f, action=["a", 0, 0, 0]),
+     "line 1 frame 0: 'action' ['a', 0, 0, 0] is invalid: could not convert string to float: 'a'"),
+    (lambda f: dict(f, action=[math.nan, 0, 0, 0]),
+     "line 1 frame 0: 'action' [nan, 0, 0, 0] is invalid: action components must be finite"),
+    (lambda f: dict(f, action=[0.06, 0, 0, 0]),
+     "line 1 frame 0: 'action' [0.06, 0, 0, 0] is invalid: delta component outside the per-step bound 0.05"),
+    (lambda f: dict(f, action=[0, 0, 0, 2]),
+     "line 1 frame 0: 'action' [0, 0, 0, 2] is invalid: grip must lie in [0, 1]"),
+    (lambda f: dict(f, obs=dict(f["obs"], grip_closed="yes")),
+     "line 1 frame 0: 'grip_closed' must be true or false, got 'yes'"),
+    (lambda f: dict(f, obs=dict(f["obs"], waypoints_hit="3")),
+     "line 1 frame 0: 'waypoints_hit' must be a non-negative integer, got '3'"),
+    (lambda f: dict(f, obs=dict(f["obs"], gripper_pos=[0.5, "a", 0.2])),
+     "line 1 frame 0: 'gripper_pos' must hold 3 numbers, got [0.5, 'a', 0.2]"),
+    (lambda f: dict(f, obs=dict(f["obs"], objects=[dict(f["obs"]["objects"][0], half_size="x"),
+                                                   f["obs"]["objects"][1]])),
+     "line 1 frame 0: 'half_size' of object 0 must be a number, got 'x'"),
 ], ids=["obs-without-step-index", "frame-is-a-list", "frame-without-action", "two-element-action",
         "five-element-action", "two-coordinate-gripper-pos", "four-coordinate-object-pos",
-        "string-step-index", "held-object-out-of-range"])
+        "string-step-index", "held-object-out-of-range", "string-in-action", "nan-in-action",
+        "delta-beyond-bound", "grip-beyond-one", "string-grip-closed", "string-waypoints-hit",
+        "string-coordinate", "string-half-size"])
 def test_malformed_demo_frame_fails_fit_prior(workdir, tmp_path, capsys, edit, named):
     _, cfg, out = workdir
     bad = tmp_path / "out"

@@ -93,7 +93,7 @@ def _broadcast_density(prior, a):
     return norm * np.exp(-sq / (2.0 * h * h)).mean(axis=1)
 
 
-@pytest.mark.parametrize("d", [4, 16])
+@pytest.mark.parametrize("d", [4, 8, 16, 32])
 def test_density_equals_the_broadcast_formula_bit_for_bit(d):
     rng = np.random.default_rng(d)
     for trial in range(40):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import lookahead as la
-from lookahead.policies import DriftPolicy, ExpertPolicy, expert_action
+from lookahead.actions import DELTA_BOUND
+from lookahead.policies import DriftPolicy, ExpertPolicy, _move_toward, expert_action
+from lookahead.seeding import rng_from
 from lookahead.world import waypoint_positions
 
 
@@ -184,3 +186,72 @@ def test_drift_deltas_respect_bounds(stack_task):
         a = drift.propose(obs).actions[0]
         assert all(abs(d) <= 0.05 for d in a.delta)
         obs = la.step(obs, a)
+
+
+# --- exactness oracles: the array forms the plain-float path replaced -------
+
+
+def _vec(action):
+    return np.array([*action.delta, action.grip]).tobytes()
+
+
+class _ArrayDrift:
+    """The drift action in its numpy array form, on its own copy of the stream."""
+
+    def __init__(self, eta, sigma, seed):
+        self.eta, self.sigma = eta, sigma
+        self.bias = np.zeros(3)
+        self.rng = rng_from("drift", 0, seed)
+
+    def __call__(self, obs):
+        base = expert_action(obs)
+        noise = self.rng.normal(0.0, self.sigma, size=3)
+        delta = np.clip(np.asarray(base.delta) + self.bias + noise, -DELTA_BOUND, DELTA_BOUND)
+        u = self.rng.normal(size=3)
+        norm = float(np.linalg.norm(u))
+        if norm > 0.0:
+            self.bias = self.bias + self.eta * (u / norm)
+        return la.Action(tuple(delta), base.grip)
+
+
+@pytest.mark.parametrize("eta, sigma", [(0.004, 0.005), (0.0, 0.005), (0.0, 0.0), (0.03, 0.04)],
+                         ids=["shipped", "eta-0", "no-noise", "clamp-binds"])
+def test_drift_action_equals_the_array_form_bit_for_bit(stack_task, eta, sigma):
+    clamped = [0, 0]  # deltas the array form clamped to -DELTA_BOUND, to +DELTA_BOUND
+    for seed in range(12):
+        drift, ref = DriftPolicy(eta=eta, sigma=sigma), _ArrayDrift(eta, sigma, seed)
+        drift.reset(seed)
+        obs = la.reset(stack_task, seed)
+        for _ in range(60):
+            a, want = drift._drift_action(obs), ref(obs)
+            assert _vec(a) == _vec(want)
+            assert drift._bias.tobytes() == ref.bias.tobytes()
+            clamped[0] += want.delta.count(-DELTA_BOUND)
+            clamped[1] += want.delta.count(DELTA_BOUND)
+            obs = la.step(obs, a)
+            if la.is_success(obs):
+                break
+    if sigma > 0.02:
+        assert min(clamped) > 20  # the clamp bound on both sides
+
+
+def test_plain_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    vecs = rng.normal(size=(100_000, 3))
+    plain = np.array([math.sqrt(u.dot(u)) for u in vecs])
+    assert plain.tobytes() == np.array([np.linalg.norm(u) for u in vecs]).tobytes()
+
+
+def test_move_toward_equals_the_generator_form_bit_for_bit():
+    rng = np.random.default_rng(4)
+    edges = [0.0, -0.0, DELTA_BOUND, -DELTA_BOUND, 0.5]
+    for _ in range(3000):
+        pos = tuple(rng.uniform(0.0, 1.0, 3).tolist())
+        # targets within a step, beyond it on either side, and on the bound exactly
+        target = tuple((p + float(rng.choice([rng.uniform(-0.04, 0.04), rng.uniform(-0.3, 0.3)])))
+                       for p in pos)
+        cases = [(pos, target), ((0.0, 0.0, 0.5), tuple(rng.choice(edges, 3).tolist()))]
+        for p, t in cases:
+            want = tuple(max(-DELTA_BOUND, min(DELTA_BOUND, b - a)) for a, b in zip(p, t))
+            got = _move_toward(p, t, 1.0)
+            assert np.array(got.delta).tobytes() == np.array(want).tobytes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,31 @@ MALFORMED_FRAMES = {
                           ": 'step_index' must be an integer, got '1'"),
     "held-object-out-of-range": (_frame_edit(lambda f: _set(f, 7, "obs", "held_object")),
                                  ": 'held_object' must be null or an object index below 2, got 7"),
+    "string-in-action": (_frame_edit(lambda f: dict(f, action=["a", 0, 0, 0])),
+                         ": 'action' ['a', 0, 0, 0] is invalid: could not convert string to float: 'a'"),
+    "nan-in-action": (_frame_edit(lambda f: dict(f, action=[math.nan, 0, 0, 0])),
+                      ": 'action' [nan, 0, 0, 0] is invalid: action components must be finite"),
+    "delta-beyond-bound": (_frame_edit(lambda f: dict(f, action=[0.06, 0, 0, 0])),
+                           ": 'action' [0.06, 0, 0, 0] is invalid: "
+                           "delta component outside the per-step bound 0.05"),
+    "grip-beyond-one": (_frame_edit(lambda f: dict(f, action=[0, 0, 0, 2])),
+                        ": 'action' [0, 0, 0, 2] is invalid: grip must lie in [0, 1]"),
+    "string-grip-closed": (_frame_edit(lambda f: _set(f, "yes", "obs", "grip_closed")),
+                           ": 'grip_closed' must be true or false, got 'yes'"),
+    "string-waypoints-hit": (_frame_edit(lambda f: _set(f, "3", "obs", "waypoints_hit")),
+                             ": 'waypoints_hit' must be a non-negative integer, got '3'"),
+    "bool-waypoints-hit": (_frame_edit(lambda f: _set(f, True, "obs", "waypoints_hit")),
+                           ": 'waypoints_hit' must be a non-negative integer, got True"),
+    "negative-waypoints-hit": (_frame_edit(lambda f: _set(f, -1, "obs", "waypoints_hit")),
+                               ": 'waypoints_hit' must be a non-negative integer, got -1"),
+    "string-coordinate": (_frame_edit(lambda f: _set(f, [0.5, "a", 0.2], "obs", "gripper_pos")),
+                          ": 'gripper_pos' must hold 3 numbers, got [0.5, 'a', 0.2]"),
+    "bool-object-coordinate": (_frame_edit(lambda f: _set(f, [True, 0.5, 0.02], "obs", "objects", 1, "pos")),
+                               ": 'pos' of object 1 must hold 3 numbers, got [True, 0.5, 0.02]"),
+    "string-half-size": (_frame_edit(lambda f: _set(f, "x", "obs", "objects", 0, "half_size")),
+                         ": 'half_size' of object 0 must be a number, got 'x'"),
+    "infinite-half-size": (_frame_edit(lambda f: _set(f, math.inf, "obs", "objects", 0, "half_size")),
+                           ": 'half_size' of object 0 must be a number, got inf"),
 }
 
 

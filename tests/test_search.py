@@ -609,6 +609,20 @@ def test_search_matches_the_eager_per_child_loop(stack_task, demos, reward_model
         assert res.trace.to_json() == trace.to_json()
 
 
+@pytest.mark.parametrize("max_depth", [1, 3])
+def test_search_selects_only_the_nodes_it_deepens(stack_task, prior, reward_model, monkeypatch,
+                                                   max_depth):
+    picks = []
+    select_fn = la.search.select_ucb
+    monkeypatch.setattr(la.search, "select_ucb",
+                        lambda node, c: picks.append(node) or select_fn(node, c))
+    obs = la.reset(stack_task, 54)
+    reward_fn = lambda o: la.predict_reward(reward_model, o)
+    run_search(obs, ExpertPolicy().propose(obs), prior, la.step, reward_fn,
+               SearchConfig(max_depth=max_depth), seed=55)
+    assert len(picks) == max_depth - 1  # no pick after the last level
+
+
 def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model, monkeypatch):
     built = []
     eager = SearchTrace.from_tree.__func__
