@@ -32,6 +32,7 @@ from .bench import (
 )
 from .errors import DataError, StateError
 from .kde import load_prior, save_prior
+from .records import Trajectory
 from .reward import load_model, save_model
 
 log = logging.getLogger("lookahead")
@@ -99,6 +100,17 @@ def _read(path: Path, load: Callable[[Path], Any], command: str) -> Any:
     return load(path)
 
 
+def _read_demos(out: Path, config: RunConfig) -> list[Trajectory]:
+    """The demos in ``out``; a demo of another task than the config's is a ValueError naming both."""
+    path = out / "demos.jsonl"
+    trajs = _read(path, load_demos, "gen-data")
+    for traj in trajs:
+        if traj.task_id != config.task.task_id:
+            raise ValueError(f"{path} holds demos of task {traj.task_id!r}, "
+                             f"but the config's task is {config.task.task_id!r}")
+    return trajs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -116,8 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "fit-prior":
-            trajs = _read(out / "demos.jsonl", load_demos, "gen-data")
-            prior = demo_prior(trajs, chunk_len=config.policy.chunk_len,
+            prior = demo_prior(_read_demos(out, config), chunk_len=config.policy.chunk_len,
                                bandwidth=config.prior_bandwidth)
             save_prior(prior, out / "prior.json")
             print(f"prior: {prior.n_points} points, dim={prior.dim}, "
@@ -125,9 +136,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "fit-reward":
-            trajs = _read(out / "demos.jsonl", load_demos, "gen-data")
-            model = demo_reward_model(trajs, config.reward_stride, config.ridge_lambda,
-                                      task_kind=config.task.task_id)
+            model = demo_reward_model(_read_demos(out, config), config.reward_stride,
+                                      config.ridge_lambda, task_kind=config.task.task_id)
             save_model(model, out / "reward.json")
             print(f"reward: {model.weights.size} weights, train_mse={model.train_mse:.6g} "
                   f"-> {out / 'reward.json'}")
@@ -139,8 +149,7 @@ def main(argv: list[str] | None = None) -> int:
 
         protocol, stem = EVALUATIONS[args.command]
         # the reward ablation also scores with the labeled demo frames
-        extra = ((demo_reward_data(_read(out / "demos.jsonl", load_demos, "gen-data"),
-                                   config.reward_stride),)
+        extra = ((demo_reward_data(_read_demos(out, config), config.reward_stride),)
                  if args.command == "ablate-reward" else ())
         report = protocol(config, prior, model, *extra)
         write_report(report, out / f"{stem}.json", out / f"{stem}.csv")

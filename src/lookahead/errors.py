@@ -1,9 +1,10 @@
-"""Exception types shared across the package, the type check of config fields,
-and the key check of artifact documents."""
+"""Exception types shared across the package, the type check of every field read
+from a file, and the key check of artifact documents."""
 
 import dataclasses
 import functools
 import math
+import sys
 
 
 class DataError(ValueError):
@@ -15,21 +16,34 @@ class StateError(RuntimeError):
 
 
 def is_number(value: object) -> bool:
-    # a bool is neither; JSON NaN and Infinity parse to floats, but no setting takes them
-    return type(value) is int or (isinstance(value, float) and math.isfinite(value))
+    # a bool is neither; JSON NaN and Infinity parse to floats and an integer beyond
+    # the float range has no float, so no setting takes them
+    return ((type(value) is int and -sys.float_info.max <= value <= sys.float_info.max)
+            or (isinstance(value, float) and math.isfinite(value)))
 
 
-def _are_numbers(value: object) -> bool:
-    return isinstance(value, (tuple, list)) and all(is_number(v) for v in value)
+def are_numbers(value: object) -> bool:
+    """Whether ``value`` is a list or tuple whose every entry ``is_number``."""
+    if not isinstance(value, (tuple, list)):
+        return False
+    for v in value:
+        if type(v) is not float:
+            return all(map(is_number, value))
+    # all floats, as every written state parses: one sum finds a NaN or an infinity,
+    # and only a sum that overflows is checked value by value
+    return math.isfinite(sum(value)) or all(map(is_number, value))
 
 
 # field annotation -> (test of a value, what a value must be)
 _FIELD_TYPES = {
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
     "int": (lambda v: type(v) is int, "an integer"),
+    "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
     "float": (is_number, "a number"),
     "float | None": (lambda v: v is None or is_number(v), "a number or null"),
-    "tuple[float, ...]": (_are_numbers, "a list of numbers"),
-    "tuple[float, float, float]": (lambda v: _are_numbers(v) and len(v) == 3, "a list of 3 numbers"),
+    "tuple[float, ...]": (are_numbers, "a list of numbers"),
+    "tuple[float, float, float]": (lambda v: are_numbers(v) and len(v) == 3, "a list of 3 numbers"),
 }
 
 
@@ -51,10 +65,9 @@ def require_keys(doc: object, keys: tuple[str, ...], source: object) -> dict:
 
 
 def require_types(obj: object) -> None:
-    """Raise ValueError naming the first ``int``- or ``float``-annotated field of
-    dataclass ``obj`` whose value does not fit: an int field holds a plain int, a
-    float field an int or a finite float, a float tuple a list or tuple of them;
-    a bool is none of these."""
+    """Raise ValueError, as ``<field> must be <what>, got <value!r>``, naming the first
+    field of dataclass ``obj`` whose value does not fit its ``_FIELD_TYPES`` entry; a
+    bool is no number, and a nested dataclass or an array is its own class's to check."""
     for name, test, what in _typed_fields(type(obj)):
         value = getattr(obj, name)
         if not test(value):

@@ -201,7 +201,7 @@ def top_k_near(pool: SamplePool, k: int) -> np.ndarray:
     return pool.candidates[order]  # fancy indexing: a fresh array
 
 
-def weights_from_densities(densities: np.ndarray, total_budget: int) -> np.ndarray:
+def weights_from_densities(densities: np.ndarray, total_budget: int) -> list[int]:
     """Integer pseudo visit counts proportional to density, each at least 1.
 
     weight_i = 1 + ceil((budget - m) * p_i / sum_j p_j). The ceiling keeps the
@@ -222,10 +222,10 @@ def weights_from_densities(densities: np.ndarray, total_budget: int) -> np.ndarr
     spare = total_budget - m
     if total <= 0.0:
         # all densities underflowed to zero: split the budget evenly
-        return np.array([1 + math.ceil(spare * (1.0 / m) - 1e-9)] * m)
+        return [1 + math.ceil(spare * (1.0 / m) - 1e-9)] * m
     # per candidate in Python floats: the same two roundings as numpy's
     # p / total then spare * share, without the small-array overhead
-    return np.array([1 + math.ceil(spare * (x / total) - 1e-9) for x in vals])
+    return [1 + math.ceil(spare * (x / total) - 1e-9) for x in vals]
 
 
 def save_prior(prior: KdePrior, path: str | Path) -> None:

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .actions import ACTION_DIM, Action
-from .errors import DataError, require_keys
+from .errors import DataError, are_numbers, require_keys, require_types
 from .world import Observation
 
 
@@ -29,9 +29,14 @@ class Trajectory:
     seed: int
 
     def __post_init__(self) -> None:
+        require_types(self)
         object.__setattr__(self, "frames", tuple((o, a) for o, a in self.frames))
         if not self.frames:
             raise ValueError("a trajectory needs at least one frame")
+        for i, (obs, _) in enumerate(self.frames):
+            if obs.task.task_id != self.task_id:
+                raise ValueError(f"task_id must be {obs.task.task_id!r}, the task of frame {i}, "
+                                 f"got {self.task_id!r}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -89,35 +94,24 @@ def write_trajectories(path: str | Path, trajectories: Iterable[Trajectory]) -> 
             fh.write(json.dumps(trajectory_record(traj)) + "\n")
 
 
-def _not_an_action(action: object) -> str:
-    return f"'action' must be a list of {ACTION_DIM} numbers, got {action!r}"
-
-
-def _frame_error(where: str, frames: object, index: int, exc: Exception) -> DataError:
-    """The DataError for a record whose frame ``index`` failed to parse with ``exc``."""
-    if not isinstance(frames, list):
-        return DataError(f"{where}: 'frames' must be a list, got {type(frames).__name__}")
-    frame = frames[index]
-    where = f"{where} frame {index}"
-    if not isinstance(frame, dict):
-        return DataError(f"{where} must be a JSON object, got {type(frame).__name__}")
-    if isinstance(exc, KeyError):
-        return DataError(f"{where}: missing key {exc.args[0]!r}")
-    if isinstance(exc, DataError):  # a check of the decoder, whose message names the key
-        return DataError(f"{where}: {exc}")
-    action = frame.get("action")
-    if not (isinstance(action, list) and len(action) == ACTION_DIM
-            and all(isinstance(v, (int, float)) for v in action)):
-        return DataError(f"{where}: {_not_an_action(action)}")
-    return DataError(f"{where}: malformed 'obs' ({exc})")
+def _frame(f: dict, tasks: dict) -> tuple[Observation, Action]:
+    """A frame's observation and action; ``tasks`` is ``Observation.from_dict``'s memo."""
+    action = f["action"]
+    if not (are_numbers(action) and len(action) == ACTION_DIM):
+        raise ValueError(f"action must be a list of {ACTION_DIM} numbers, got {action!r}")
+    obs = Observation.from_dict(f["obs"], tasks)
+    try:
+        return obs, Action(delta=action[:3], grip=action[3])
+    except ValueError as exc:  # four numbers, but no valid action
+        raise ValueError(f"action must be a valid action ({exc}), got {action!r}") from None
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     """The file's trajectories; each distinct task dict in it is parsed once.
 
-    A record or frame that cannot be parsed, or whose action does not hold
-    exactly 4 numbers that form a valid ``Action``, is a DataError naming the
-    file, the line and the key; the frames are only examined once a parse failed.
+    Every field of a record and of its frames is checked as it is read, and a
+    record or frame that does not parse is a DataError naming the file, the
+    line, the frame and the key.
     """
     tasks: dict = {}
     out = []
@@ -126,21 +120,24 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
             if line.strip():
                 where = f"{path} line {number}"
                 record = require_keys(json.loads(line), ("task_id", "seed", "success", "frames"), where)
+                if not isinstance(record["frames"], list):
+                    raise DataError(f"{where}: frames must be a list, got {record['frames']!r}")
                 frames = []
+                for i, f in enumerate(record["frames"]):
+                    if not isinstance(f, dict):
+                        raise DataError(f"{where} frame {i} must be a JSON object, got {type(f).__name__}")
+                    try:
+                        frames.append(_frame(f, tasks))
+                    except KeyError as exc:
+                        raise DataError(f"{where} frame {i}: missing key {exc.args[0]!r}") from None
+                    except (TypeError, IndexError) as exc:
+                        raise DataError(f"{where} frame {i}: malformed 'obs' ({exc})") from None
+                    except ValueError as exc:
+                        raise DataError(f"{where} frame {i}: {exc}") from None
                 try:
-                    for f in record["frames"]:
-                        action = f["action"]
-                        if len(action) != ACTION_DIM:
-                            raise DataError(_not_an_action(action))
-                        obs = Observation.from_dict(f["obs"], tasks)
-                        try:
-                            act = Action(delta=tuple(action[:3]), grip=action[3])
-                        except ValueError as exc:  # four values, but no valid action
-                            raise DataError(f"'action' {action!r} is invalid: {exc}") from None
-                        frames.append((obs, act))
-                except (KeyError, TypeError, IndexError, DataError) as exc:
-                    raise _frame_error(where, record["frames"], len(frames), exc) from None
-                out.append(Trajectory(record["task_id"], frames, record["success"], record["seed"]))
+                    out.append(Trajectory(record["task_id"], frames, record["success"], record["seed"]))
+                except ValueError as exc:
+                    raise DataError(f"{where}: {exc}") from None
     return out
 
 

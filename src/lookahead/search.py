@@ -141,7 +141,7 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
     chosen[-1] = anchor  # anchor injection
-    visits = weights_from_densities(density(prior, chosen), config.visit_budget).tolist()
+    visits = weights_from_densities(density(prior, chosen), config.visit_budget)
 
     # each child holds a row of ``chosen``, which this expansion owns
     depth = node.depth + 1

@@ -20,7 +20,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .actions import Action, DELTA_LIMIT
-from .errors import DataError, is_number, require_types
+from .errors import require_types
 from .seeding import derive_seed, rng_from
 
 GRASP_RADIUS = 0.03  # closing within this distance of a center attaches the object
@@ -147,21 +147,6 @@ class ObjectState:
     half_size: float
 
 
-_FLOAT = frozenset((float,))
-
-
-def _require_numbers(gripper_pos: tuple, objects: tuple[ObjectState, ...]) -> None:
-    """A DataError naming the first coordinate list or ``half_size`` that holds a
-    value that is not a number (an int or a finite float, not a bool)."""
-    if not all(map(is_number, gripper_pos)):
-        raise DataError(f"'gripper_pos' must hold 3 numbers, got {list(gripper_pos)!r}")
-    for i, o in enumerate(objects):
-        if not all(map(is_number, o.pos)):
-            raise DataError(f"'pos' of object {i} must hold 3 numbers, got {list(o.pos)!r}")
-        if not is_number(o.half_size):
-            raise DataError(f"'half_size' of object {i} must be a number, got {o.half_size!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class Observation:
     """Full world state. ``waypoints_hit`` keeps circle progress Markov."""
@@ -192,11 +177,10 @@ class Observation:
         task dict with the same keys, values and value types (``1``, ``1.0`` and
         ``True`` each parse and validate on their own).
 
-        A position that does not hold 3 numbers, a ``half_size`` that is not a
-        number, a ``grip_closed`` that is not a bool, a ``step_index`` that is
-        not an integer, a ``waypoints_hit`` that is not a non-negative integer,
-        or a ``held_object`` that is neither null nor an object index is a
-        DataError naming the key. A number is an int or a finite float, not a bool."""
+        Each object and then the observation go through ``require_types`` (an
+        object's error starts with ``object i: ``); of the values, only
+        ``waypoints_hit`` must be non-negative and ``held_object`` null or the
+        index of an object. A failed check is a ValueError naming the field."""
         task_doc = doc["task"]
         if tasks is None:
             task = TaskSpec.from_dict(task_doc)
@@ -205,46 +189,31 @@ class Observation:
             task = tasks.get(key)
             if task is None:
                 task = tasks[key] = TaskSpec.from_dict(task_doc)
-        gripper_pos = tuple(doc["gripper_pos"])
-        if len(gripper_pos) != 3:
-            raise DataError(f"'gripper_pos' must hold 3 coordinates, got {list(gripper_pos)!r}")
-        numbers = list(gripper_pos)
         objects = []
         for i, o in enumerate(doc["objects"]):
-            pos, half_size = tuple(o["pos"]), o["half_size"]
-            if len(pos) != 3:
-                raise DataError(f"'pos' of object {i} must hold 3 coordinates, got {list(pos)!r}")
-            numbers += pos
-            numbers.append(half_size)
-            objects.append(ObjectState(pos, half_size))
-        objects = tuple(objects)
-        # finite floats, the parsed form of every written state, pass in two C-level
-        # passes (a sum of finite floats that overflows takes the slow path too);
-        # anything else is checked value by value, naming the first bad key
-        if not (_FLOAT.issuperset(map(type, numbers)) and math.isfinite(sum(numbers))):
-            _require_numbers(gripper_pos, objects)
-        grip_closed = doc["grip_closed"]
-        if type(grip_closed) is not bool:
-            raise DataError(f"'grip_closed' must be true or false, got {grip_closed!r}")
-        waypoints_hit = doc.get("waypoints_hit", 0)
-        if not (type(waypoints_hit) is int and waypoints_hit >= 0):
-            raise DataError(f"'waypoints_hit' must be a non-negative integer, got {waypoints_hit!r}")
-        held = doc["held_object"]
-        if held is not None and not (type(held) is int and 0 <= held < len(objects)):
-            raise DataError(f"'held_object' must be null or an object index below {len(objects)}, "
-                            f"got {held!r}")
-        step_index = doc["step_index"]
-        if type(step_index) is not int:
-            raise DataError(f"'step_index' must be an integer, got {step_index!r}")
-        return cls(
-            gripper_pos=gripper_pos,
-            grip_closed=grip_closed,
-            held_object=held,
-            objects=objects,
+            state = ObjectState(tuple(o["pos"]), o["half_size"])
+            try:
+                require_types(state)
+            except ValueError as exc:
+                raise ValueError(f"object {i}: {exc}") from None
+            objects.append(state)
+        obs = cls(
+            gripper_pos=tuple(doc["gripper_pos"]),
+            grip_closed=doc["grip_closed"],
+            held_object=doc["held_object"],
+            objects=tuple(objects),
             task=task,
-            step_index=step_index,
-            waypoints_hit=waypoints_hit,
+            step_index=doc["step_index"],
+            waypoints_hit=doc.get("waypoints_hit", 0),
         )
+        require_types(obs)
+        if obs.waypoints_hit < 0:
+            raise ValueError(f"waypoints_hit must be a non-negative integer, got {obs.waypoints_hit!r}")
+        held = obs.held_object
+        if held is not None and not 0 <= held < len(objects):
+            raise ValueError(f"held_object must be null or an object index below {len(objects)}, "
+                             f"got {held!r}")
+        return obs
 
     def canonical_bytes(self) -> bytes:
         parts = [

@@ -20,7 +20,7 @@ from lookahead.bench import (
     resolve_workers,
     write_report,
 )
-from lookahead.errors import DataError
+from lookahead.errors import _FIELD_TYPES, DataError
 from lookahead.records import EpisodeResult
 
 
@@ -101,7 +101,9 @@ def _task_of(kind):
     (_task_of(la.PickPlace), "zone_radius", "a number"),
     (_task_of(la.FollowCircle), "radius", "a number"),
 ])
-@pytest.mark.parametrize("value", [True, [0.5], {}, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [True, [0.5], {}, math.nan, math.inf, -math.inf,
+                                   pytest.param(10 ** 400, id="int-beyond-float"),
+                                   pytest.param(-10 ** 400, id="negative-int-beyond-float")])
 def test_float_fields_reject_bools_and_non_numbers(make, name, what, value):
     with pytest.raises(ValueError, match=f"^{name} must be {what}, got {re.escape(repr(value))}$"):
         make(**{name: value})
@@ -124,6 +126,37 @@ def test_float_fields_name_a_string(name):
 def test_float_tuple_fields_reject_non_numbers(make, name, what, value):
     with pytest.raises(ValueError, match=f"^{name} must be {what}, got {re.escape(repr(value))}$"):
         make(**{name: value})
+
+
+@pytest.mark.parametrize("make, name", [
+    (la.SearchConfig, "sampler"),
+    (lambda **kw: la.RewardModel(weights=[0.5, 0.5], ridge_lambda=1.0, **kw), "task_kind"),
+])
+@pytest.mark.parametrize("value", [5, None, True, ["kde"]])
+def test_string_fields_reject_non_strings(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a string, got {re.escape(repr(value))}$"):
+        make(**{name: value})
+
+
+# annotations that name a nested dataclass, a union of them or an array: each is
+# checked by its own class or by its decoder, not by one entry of _FIELD_TYPES
+_COMPOSITE_FIELDS = {
+    "TaskSpec", "TaskKind", "PolicyParams", "SearchConfig", "np.ndarray",
+    "tuple[ObjectState, ...]", "tuple[tuple[Observation, Action], ...]",
+}
+
+
+@pytest.mark.parametrize("cls", [
+    la.RunConfig, PolicyParams, la.SearchConfig,
+    la.TaskSpec, la.Stack, la.PickPlace, la.FollowCircle,
+    la.KdePrior, la.RewardModel, la.Trajectory,
+    la.Observation, la.ObjectState,
+], ids=lambda cls: cls.__name__)
+def test_every_checked_field_has_a_type_check(cls):
+    # require_types skips an annotation _FIELD_TYPES lacks, so a new one would go unchecked
+    unchecked = [(f.name, f.type) for f in dataclasses.fields(cls)
+                 if f.type not in _FIELD_TYPES and f.type not in _COMPOSITE_FIELDS]
+    assert unchecked == []
 
 
 def test_float_fields_accept_ints_and_keep_them():
@@ -187,7 +220,9 @@ def test_load_demos_checks_each_distinct_task_dict(tmp_path, demo_files, value):
     record["frames"][-1]["obs"]["task"]["horizon"] = value
     path = tmp_path / "later_frame.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^horizon must be an integer, got {value!r}$"):
+    last = len(record["frames"]) - 1
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1 frame {last}: "
+                                         f"horizon must be an integer, got {value!r}$"):
         la.load_demos(path)
 
 

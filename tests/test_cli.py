@@ -214,6 +214,9 @@ def test_mismatched_artifacts_exit_one_before_any_episode(workdir, monkeypatch, 
     root, _, out = workdir
     cfg = root / f"mismatch-{command}.json"
     cfg.write_text(json.dumps(dict(TINY, **change)), encoding="utf-8")
+    if command == "ablate-reward" and "task" in change:
+        # the reward ablation reads the demos before its protocol checks the reward model
+        named = f"{out / 'demos.jsonl'} holds demos of task 'stack', but the config's task is 'pick-place'"
     episodes = []
     monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
@@ -278,6 +281,8 @@ def _without(key):
      lambda text: text.split("\n", 1)[0] + '\n{"task_id": "stack", "seed": 0, "success": true}\n',
      "DataError: {path} line 2: missing key 'frames'"),
     ("demos.jsonl", lambda text: "[]\n", "DataError: {path} line 1 must be a JSON object, got list"),
+    ("reward.json", lambda text: text.replace('"task_kind": "stack"', '"task_kind": 5'),
+     "ValueError: task_kind must be a string, got 5"),
 ])
 def test_malformed_artifact_exits_one_before_any_episode(workdir, tmp_path, monkeypatch, capsys,
                                                          name, edit, named):
@@ -314,35 +319,36 @@ def _edit_first_frame(edit):
      "line 1 frame 0: missing key 'step_index'"),
     (lambda f: [f["obs"], f["action"]], "line 1 frame 0 must be a JSON object, got list"),
     (lambda f: {"obs": f["obs"]}, "line 1 frame 0: missing key 'action'"),
-    (lambda f: dict(f, action=f["action"][:2]), "line 1 frame 0: 'action' must be a list of 4 numbers"),
+    (lambda f: dict(f, action=f["action"][:2]), "line 1 frame 0: action must be a list of 4 numbers"),
     (lambda f: dict(f, action=[0.01, 0.0, 0.0, 0.0, 0.5]),
-     "line 1 frame 0: 'action' must be a list of 4 numbers, got [0.01, 0.0, 0.0, 0.0, 0.5]"),
+     "line 1 frame 0: action must be a list of 4 numbers, got [0.01, 0.0, 0.0, 0.0, 0.5]"),
     (lambda f: dict(f, obs=dict(f["obs"], gripper_pos=[0.5, 0.5])),
-     "line 1 frame 0: 'gripper_pos' must hold 3 coordinates, got [0.5, 0.5]"),
+     "line 1 frame 0: gripper_pos must be a list of 3 numbers, got (0.5, 0.5)"),
     (lambda f: dict(f, obs=dict(f["obs"], objects=[f["obs"]["objects"][0],
                                                    dict(f["obs"]["objects"][1], pos=[0.6, 0.5, 0.02, 0.0])])),
-     "line 1 frame 0: 'pos' of object 1 must hold 3 coordinates, got [0.6, 0.5, 0.02, 0.0]"),
+     "line 1 frame 0: object 1: pos must be a list of 3 numbers, got (0.6, 0.5, 0.02, 0.0)"),
     (lambda f: dict(f, obs=dict(f["obs"], step_index="0")),
-     "line 1 frame 0: 'step_index' must be an integer, got '0'"),
+     "line 1 frame 0: step_index must be an integer, got '0'"),
     (lambda f: dict(f, obs=dict(f["obs"], held_object=7)),
-     "line 1 frame 0: 'held_object' must be null or an object index below 2, got 7"),
+     "line 1 frame 0: held_object must be null or an object index below 2, got 7"),
     (lambda f: dict(f, action=["a", 0, 0, 0]),
-     "line 1 frame 0: 'action' ['a', 0, 0, 0] is invalid: could not convert string to float: 'a'"),
+     "line 1 frame 0: action must be a list of 4 numbers, got ['a', 0, 0, 0]"),
     (lambda f: dict(f, action=[math.nan, 0, 0, 0]),
-     "line 1 frame 0: 'action' [nan, 0, 0, 0] is invalid: action components must be finite"),
+     "line 1 frame 0: action must be a list of 4 numbers, got [nan, 0, 0, 0]"),
     (lambda f: dict(f, action=[0.06, 0, 0, 0]),
-     "line 1 frame 0: 'action' [0.06, 0, 0, 0] is invalid: delta component outside the per-step bound 0.05"),
+     "line 1 frame 0: action must be a valid action (delta component outside the per-step bound 0.05), "
+     "got [0.06, 0, 0, 0]"),
     (lambda f: dict(f, action=[0, 0, 0, 2]),
-     "line 1 frame 0: 'action' [0, 0, 0, 2] is invalid: grip must lie in [0, 1]"),
+     "line 1 frame 0: action must be a valid action (grip must lie in [0, 1]), got [0, 0, 0, 2]"),
     (lambda f: dict(f, obs=dict(f["obs"], grip_closed="yes")),
-     "line 1 frame 0: 'grip_closed' must be true or false, got 'yes'"),
+     "line 1 frame 0: grip_closed must be true or false, got 'yes'"),
     (lambda f: dict(f, obs=dict(f["obs"], waypoints_hit="3")),
-     "line 1 frame 0: 'waypoints_hit' must be a non-negative integer, got '3'"),
+     "line 1 frame 0: waypoints_hit must be an integer, got '3'"),
     (lambda f: dict(f, obs=dict(f["obs"], gripper_pos=[0.5, "a", 0.2])),
-     "line 1 frame 0: 'gripper_pos' must hold 3 numbers, got [0.5, 'a', 0.2]"),
+     "line 1 frame 0: gripper_pos must be a list of 3 numbers, got (0.5, 'a', 0.2)"),
     (lambda f: dict(f, obs=dict(f["obs"], objects=[dict(f["obs"]["objects"][0], half_size="x"),
                                                    f["obs"]["objects"][1]])),
-     "line 1 frame 0: 'half_size' of object 0 must be a number, got 'x'"),
+     "line 1 frame 0: object 0: half_size must be a number, got 'x'"),
 ], ids=["obs-without-step-index", "frame-is-a-list", "frame-without-action", "two-element-action",
         "five-element-action", "two-coordinate-gripper-pos", "four-coordinate-object-pos",
         "string-step-index", "held-object-out-of-range", "string-in-action", "nan-in-action",
@@ -358,6 +364,28 @@ def test_malformed_demo_frame_fails_fit_prior(workdir, tmp_path, capsys, edit, n
     assert main(["fit-prior", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
     assert f"DataError: {demos} {named}" in capsys.readouterr().err
     assert not (bad / "prior.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-prior", "fit-reward", "ablate-reward"])
+def test_demos_of_another_task_fail_before_any_file_is_written(workdir, tmp_path, monkeypatch, capsys,
+                                                               command):
+    # stack artifacts beside pick-place demos, read with the stack config: no file is
+    # written or overwritten
+    _, cfg, out = workdir
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(TINY, task={"kind": "pick-place"})), encoding="utf-8")
+    bad = tmp_path / "out"
+    assert main(["gen-data", "--config", str(other), "--out", str(bad), "--quiet"]) == 0
+    for artifact in ("prior.json", "reward.json"):
+        (bad / artifact).write_bytes((out / artifact).read_bytes())
+    before = {p.name: p.read_bytes() for p in bad.iterdir()}
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    assert main([command, "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
+    assert (f"ValueError: {bad / 'demos.jsonl'} holds demos of task 'pick-place', "
+            f"but the config's task is 'stack'") in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
+    assert episodes == []
 
 
 def test_tiny_prior_bandwidth_fails_fit_prior(workdir, tmp_path, capsys):

@@ -412,8 +412,7 @@ def test_visit_weights_equal_the_numpy_formula():
             p = rng.uniform(size=m) * (rng.random(m) < 0.7)
         got = weights_from_densities(p, budget)
         want = _numpy_weights(p, budget)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want), (p, budget)
+        assert type(got) is list and got == want.tolist(), (p, budget)
 
 
 @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])

@@ -96,15 +96,21 @@ def test_episode_result_bounds():
         EpisodeResult(task_id="stack", success=True, steps_taken=1, final_reward=1.5)
 
 
-def _frame_edit(edit):
-    """An edit of a demo file's text that applies ``edit`` to frame 1 of its line 2."""
+def _record_edit(edit):
+    """An edit of a demo file's text that applies ``edit`` to the record on its line 2."""
     def apply(text):
         lines = text.splitlines()
-        record = json.loads(lines[1])
-        record["frames"][1] = edit(record["frames"][1])
-        lines[1] = json.dumps(record)
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
         return "\n".join(lines) + "\n"
     return apply
+
+
+def _frame_edit(edit):
+    """An edit of a demo file's text that applies ``edit`` to frame 1 of its line 2."""
+    def on_record(record):
+        record["frames"][1] = edit(record["frames"][1])
+        return record
+    return _record_edit(on_record)
 
 
 def _drop(frame, *keys):
@@ -133,43 +139,51 @@ MALFORMED_FRAMES = {
                         " must be a JSON object, got list"),
     "frame-without-action": (_frame_edit(lambda f: _drop(f, "action")), ": missing key 'action'"),
     "two-element-action": (_frame_edit(lambda f: dict(f, action=f["action"][:2])),
-                           ": 'action' must be a list of 4 numbers, got [0.01, 0.0]"),
+                           ": action must be a list of 4 numbers, got [0.01, 0.0]"),
     "five-element-action": (_frame_edit(lambda f: dict(f, action=[0.01, 0.0, 0.0, 0.0, 0.5])),
-                            ": 'action' must be a list of 4 numbers, got [0.01, 0.0, 0.0, 0.0, 0.5]"),
+                            ": action must be a list of 4 numbers, got [0.01, 0.0, 0.0, 0.0, 0.5]"),
     "two-coordinate-gripper-pos": (_frame_edit(lambda f: _set(f, [0.5, 0.5], "obs", "gripper_pos")),
-                                   ": 'gripper_pos' must hold 3 coordinates, got [0.5, 0.5]"),
+                                   ": gripper_pos must be a list of 3 numbers, got (0.5, 0.5)"),
     "four-coordinate-object-pos": (
         _frame_edit(lambda f: _set(f, [0.6, 0.5, 0.02, 0.0], "obs", "objects", 1, "pos")),
-        ": 'pos' of object 1 must hold 3 coordinates, got [0.6, 0.5, 0.02, 0.0]"),
+        ": object 1: pos must be a list of 3 numbers, got (0.6, 0.5, 0.02, 0.0)"),
     "string-step-index": (_frame_edit(lambda f: _set(f, "1", "obs", "step_index")),
-                          ": 'step_index' must be an integer, got '1'"),
+                          ": step_index must be an integer, got '1'"),
     "held-object-out-of-range": (_frame_edit(lambda f: _set(f, 7, "obs", "held_object")),
-                                 ": 'held_object' must be null or an object index below 2, got 7"),
+                                 ": held_object must be null or an object index below 2, got 7"),
     "string-in-action": (_frame_edit(lambda f: dict(f, action=["a", 0, 0, 0])),
-                         ": 'action' ['a', 0, 0, 0] is invalid: could not convert string to float: 'a'"),
+                         ": action must be a list of 4 numbers, got ['a', 0, 0, 0]"),
     "nan-in-action": (_frame_edit(lambda f: dict(f, action=[math.nan, 0, 0, 0])),
-                      ": 'action' [nan, 0, 0, 0] is invalid: action components must be finite"),
+                      ": action must be a list of 4 numbers, got [nan, 0, 0, 0]"),
     "delta-beyond-bound": (_frame_edit(lambda f: dict(f, action=[0.06, 0, 0, 0])),
-                           ": 'action' [0.06, 0, 0, 0] is invalid: "
-                           "delta component outside the per-step bound 0.05"),
+                           ": action must be a valid action "
+                           "(delta component outside the per-step bound 0.05), got [0.06, 0, 0, 0]"),
     "grip-beyond-one": (_frame_edit(lambda f: dict(f, action=[0, 0, 0, 2])),
-                        ": 'action' [0, 0, 0, 2] is invalid: grip must lie in [0, 1]"),
+                        ": action must be a valid action (grip must lie in [0, 1]), got [0, 0, 0, 2]"),
     "string-grip-closed": (_frame_edit(lambda f: _set(f, "yes", "obs", "grip_closed")),
-                           ": 'grip_closed' must be true or false, got 'yes'"),
+                           ": grip_closed must be true or false, got 'yes'"),
     "string-waypoints-hit": (_frame_edit(lambda f: _set(f, "3", "obs", "waypoints_hit")),
-                             ": 'waypoints_hit' must be a non-negative integer, got '3'"),
+                             ": waypoints_hit must be an integer, got '3'"),
     "bool-waypoints-hit": (_frame_edit(lambda f: _set(f, True, "obs", "waypoints_hit")),
-                           ": 'waypoints_hit' must be a non-negative integer, got True"),
+                           ": waypoints_hit must be an integer, got True"),
     "negative-waypoints-hit": (_frame_edit(lambda f: _set(f, -1, "obs", "waypoints_hit")),
-                               ": 'waypoints_hit' must be a non-negative integer, got -1"),
+                               ": waypoints_hit must be a non-negative integer, got -1"),
     "string-coordinate": (_frame_edit(lambda f: _set(f, [0.5, "a", 0.2], "obs", "gripper_pos")),
-                          ": 'gripper_pos' must hold 3 numbers, got [0.5, 'a', 0.2]"),
+                          ": gripper_pos must be a list of 3 numbers, got (0.5, 'a', 0.2)"),
     "bool-object-coordinate": (_frame_edit(lambda f: _set(f, [True, 0.5, 0.02], "obs", "objects", 1, "pos")),
-                               ": 'pos' of object 1 must hold 3 numbers, got [True, 0.5, 0.02]"),
+                               ": object 1: pos must be a list of 3 numbers, got (True, 0.5, 0.02)"),
     "string-half-size": (_frame_edit(lambda f: _set(f, "x", "obs", "objects", 0, "half_size")),
-                         ": 'half_size' of object 0 must be a number, got 'x'"),
+                         ": object 0: half_size must be a number, got 'x'"),
     "infinite-half-size": (_frame_edit(lambda f: _set(f, math.inf, "obs", "objects", 0, "half_size")),
-                           ": 'half_size' of object 0 must be a number, got inf"),
+                           ": object 0: half_size must be a number, got inf"),
+    "string-in-delta": (_frame_edit(lambda f: dict(f, action=["0.01", 0, 0, 0])),
+                        ": action must be a list of 4 numbers, got ['0.01', 0, 0, 0]"),
+    "bool-grip": (_frame_edit(lambda f: dict(f, action=[0, 0, 0, True])),
+                  ": action must be a list of 4 numbers, got [0, 0, 0, True]"),
+    "misspelt-task-kind": (_frame_edit(lambda f: _set(f, "stak", "obs", "task", "kind")),
+                           ": unknown task kind 'stak'"),
+    "integer-beyond-the-float-range": (_frame_edit(lambda f: dict(f, action=[10 ** 400, 0, 0, 0])),
+                                       f": action must be a list of 4 numbers, got [{10 ** 400}, 0, 0, 0]"),
 }
 
 
@@ -182,3 +196,27 @@ def test_malformed_frame_is_a_named_data_error(tmp_path, stack_task, case):
     with pytest.raises(DataError) as err:
         la.load_demos(path)
     assert str(err.value) == f"{path} line 2 frame 1{named}"
+
+
+# (edit of the record on line 2 of the demo file, the error's text after "<path> line 2")
+MALFORMED_RECORDS = {
+    "string-success": (lambda r: dict(r, success="no"), ": success must be true or false, got 'no'"),
+    "string-seed": (lambda r: dict(r, seed="x"), ": seed must be an integer, got 'x'"),
+    "integer-task-id": (lambda r: dict(r, task_id=5), ": task_id must be a string, got 5"),
+    "task-id-of-another-task": (lambda r: dict(r, task_id="pick-place"),
+                                ": task_id must be 'stack', the task of frame 0, got 'pick-place'"),
+    "empty-frames": (lambda r: dict(r, frames=[]), ": a trajectory needs at least one frame"),
+    "frames-not-a-list": (lambda r: dict(r, frames=5), ": frames must be a list, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_record_is_a_named_data_error(tmp_path, stack_task, case):
+    edit, named = MALFORMED_RECORDS[case]
+    path = tmp_path / "demos.jsonl"
+    write_trajectories(path, [_tiny_traj(stack_task, seed=s) for s in (1, 2)])
+    path.write_text(_record_edit(edit)(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        la.load_demos(path)
+    assert str(err.value) == f"{path} line 2{named}"
+

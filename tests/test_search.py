@@ -152,7 +152,7 @@ def _noise_expand_reference(node, sigma, config, seed):
     chosen[-1] = anchor
     weight_prior = KdePrior(points=anchor[None, :], bandwidth=sigma)
     dens = np.atleast_1d(la.density(weight_prior, chosen))
-    return chosen, la.weights_from_densities(dens, config.visit_budget).tolist()
+    return chosen, la.weights_from_densities(dens, config.visit_budget)
 
 
 @pytest.mark.parametrize("chunk_len", [1, 4])
