@@ -19,10 +19,20 @@ point outside the window lies at least r from every query in that one
 coordinate (up to rounding far inside the margin between 750 and 745.13), and
 its squared distance, a float sum of non-negative squares, is at least that
 coordinate's rounded square. Its exponent is therefore below -745.13, and its
-term is +0.0 in the full formula too. Every term keeps its original position,
-so the mean sums the same values in the same order. A NaN makes every term
-NaN, so a query holding a NaN or an infinity takes the whole support; the
-rounding bound needs a finite support, which ``KdePrior`` enforces.
+term is +0.0 in the full formula too. Squared distances are capped at
+750 * 2h^2 before the division for the same reason: every capped term is +0.0
+either way, and the quotient cannot overflow when 2h^2 is tiny. A NaN makes
+every term NaN, so a query holding a NaN or an infinity takes the whole
+support; the rounding bound needs a finite support, which ``KdePrior`` enforces.
+
+Demonstrated actions repeat (clamped deltas, a binary grip), so the window is
+taken over the support's distinct rows, and each kernel term is evaluated once
+per distinct row. A term depends only on the bits of its query and its row, so
+every support point takes its distinct row's term, at its own position, with the
+same bits as the full formula gives it. The terms are gathered back with
+``take(..., axis=1)``, which returns a C-ordered array (fancy indexing along
+axis 1 returns an F-ordered one, whose row sums numpy takes in another order),
+so the mean sums the same values in the same order as over the whole support.
 """
 
 from __future__ import annotations
@@ -87,12 +97,32 @@ class KdePrior:
 
     @functools.cached_property
     def sorted_support(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """(key, order, points[order], points[order, key]): the support sorted
-        along its widest coordinate ``key``, built on first use."""
-        key = int(np.argmax(np.ptp(self.points, axis=0)))
-        order = np.argsort(self.points[:, key], kind="stable")
-        pts = self.points[order]
-        return key, order, pts, pts[:, key].copy()
+        """(key, inverse, rows, rows[:, key]), built on first use: the support's
+        distinct rows ``rows``, stably sorted along its widest coordinate ``key``,
+        and ``inverse``, the row of each support point, so ``rows[inverse]`` is
+        ``points``. Rows are told apart by their bytes, so +0.0 and -0.0 stay apart."""
+        pts = self.points
+        n, d = pts.shape
+        # np.ptp's values, without its wrapper's cost on the one-point priors of the noise arm
+        key = int((pts.max(axis=0) - pts.min(axis=0)).argmax())
+        order = np.argsort(pts[:, key], kind="stable")
+        by_key = pts[order]
+        raw = by_key.tobytes()
+        step = d * by_key.itemsize
+        # one pass over the key-sorted rows: a row's bytes seen first get the next
+        # distinct index, and its position heads that distinct row, so the distinct
+        # rows keep the key order
+        first: dict[bytes, int] = {}
+        rank, heads = [], []
+        for i, at in enumerate(range(0, n * step, step)):
+            r = first.setdefault(raw[at:at + step], len(heads))
+            if r == len(heads):
+                heads.append(i)
+            rank.append(r)
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = rank
+        rows = by_key[heads] if len(heads) < n else by_key
+        return key, inverse, rows, rows[:, key].copy()
 
 
 @dataclasses.dataclass
@@ -145,8 +175,8 @@ def sample(
 def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
     """Evaluate the KDE at one query vector (d,) or a batch (m, d).
 
-    Only the support points inside the cutoff window are evaluated; the rest
-    keep their exact +0.0 terms (see the module docstring).
+    Only the distinct support rows inside the cutoff window are evaluated, once
+    each; every other term keeps its exact +0.0 (see the module docstring).
     """
     q = np.asarray(a, dtype=float)
     single = q.ndim == 1
@@ -156,30 +186,38 @@ def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
     h = prior.bandwidth
     d = prior.dim
     two_h2 = 2.0 * h * h
-    key, order, points, keys = prior.sorted_support
-    lo, hi = 0, prior.n_points
+    # exp(-cap / (2 h^2)) is +0.0, so a squared distance capped there keeps its
+    # term's bits, and the division cannot overflow when 2 h^2 is small
+    cap = _CUTOFF_EXPONENT * two_h2
+    key, inverse, rows, keys = prior.sorted_support
+    lo, hi = 0, len(keys)
     if np.isfinite(q2).all():
-        r = math.sqrt(_CUTOFF_EXPONENT * two_h2)
+        r = math.sqrt(cap)
         qk = q2[:, key].tolist()
         lo = int(np.searchsorted(keys, min(qk) - r, "left"))
         hi = int(np.searchsorted(keys, max(qk) + r, "right"))
     # The (q * w, d) differences a - a_i as one subtraction over whole rows: each
-    # query repeated once per window point, minus the flattened window. The same
-    # values and layout as the broadcast q2[:, None] - window[None], whose inner
+    # query repeated once per distinct window row, minus the flattened window. The
+    # same values and layout as the broadcast q2[:, None] - window[None], whose inner
     # loops would run over d alone.
     m, w = q2.shape[0], hi - lo
     diffs = np.repeat(q2, w, axis=0).reshape(m, w * d)
-    diffs -= points[lo:hi].reshape(1, -1)
+    diffs -= rows[lo:hi].reshape(1, -1)
     diffs = diffs.reshape(m * w, d)
-    # one squared norm per (query, point) row, each a sum over its d entries
+    # one squared norm per (query, row) pair, each a sum over its d entries
     near = np.einsum("nd,nd->n", diffs, diffs)
+    np.minimum(near, cap, out=near)
     # exp(-||a - a_i||^2 / (2 h^2)) in place; (-x) / y == x / (-y) exactly
     near /= -two_h2
     np.exp(near, out=near)
-    # every term at its support point's original position, so the mean sums
-    # the same values in the same order as over the whole support
-    terms = np.zeros((m, prior.n_points))
-    terms[:, order[lo:hi]] = near.reshape(m, w)
+    # a term depends only on its query and row, so every support point takes its
+    # distinct row's term; take returns a C-ordered array, and the mean sums the
+    # same values in the same order as over the whole support
+    distinct = near.reshape(m, w)
+    if w < len(keys):
+        distinct = np.zeros((m, len(keys)))
+        distinct[:, lo:hi] = near.reshape(m, w)
+    terms = distinct.take(inverse, axis=1)
     norm = (2.0 * math.pi) ** (-d / 2.0) * h ** (-d)
     # the row means as numpy's terms.mean(axis=1) takes them: one pairwise sum, one divide
     vals = norm * (np.add.reduce(terms, axis=1) / prior.n_points)

@@ -180,7 +180,9 @@ class Observation:
         Each object and then the observation go through ``require_types`` (an
         object's error starts with ``object i: ``); of the values, only
         ``waypoints_hit`` must be non-negative and ``held_object`` null or the
-        index of an object. A failed check is a ValueError naming the field."""
+        index of an object. Only a list position becomes a tuple, so any other
+        value reaches the check as read. A failed check is a ValueError naming
+        the field."""
         task_doc = doc["task"]
         if tasks is None:
             task = TaskSpec.from_dict(task_doc)
@@ -191,14 +193,16 @@ class Observation:
                 task = tasks[key] = TaskSpec.from_dict(task_doc)
         objects = []
         for i, o in enumerate(doc["objects"]):
-            state = ObjectState(tuple(o["pos"]), o["half_size"])
+            pos = o["pos"]
+            state = ObjectState(tuple(pos) if type(pos) is list else pos, o["half_size"])
             try:
                 require_types(state)
             except ValueError as exc:
                 raise ValueError(f"object {i}: {exc}") from None
             objects.append(state)
+        gripper_pos = doc["gripper_pos"]
         obs = cls(
-            gripper_pos=tuple(doc["gripper_pos"]),
+            gripper_pos=tuple(gripper_pos) if type(gripper_pos) is list else gripper_pos,
             grip_closed=doc["grip_closed"],
             held_object=doc["held_object"],
             objects=tuple(objects),

@@ -212,6 +212,70 @@ def test_density_on_duplicate_and_two_point_supports():
     assert density(prior, np.array([0.0, 0.0, 0.0, 3.0])) == 0.0  # empty window
 
 
+def _duplicated_support(rng, n_distinct, n, d):
+    """n support rows drawn from n_distinct grip-channel rows, in random order, with
+    +0.0 and -0.0 entries among them."""
+    base = _grip_support(rng, n_distinct, d)
+    base[rng.random(base.shape) < 0.2] = 0.0
+    base[rng.random(base.shape) < 0.2] = -0.0
+    pts = base[rng.integers(0, n_distinct, size=n)]
+    return pts[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_density_over_duplicated_supports_equals_the_broadcast_formula_bit_for_bit(d):
+    rng = np.random.default_rng(200 + d)
+    supports = [_duplicated_support(rng, int(rng.integers(1, 40)), int(rng.integers(2, 400)), d)
+                for _ in range(25)]
+    signed_zeros = np.zeros((6, d))
+    signed_zeros[::2] = -0.0
+    supports += [
+        signed_zeros,  # +0.0 and -0.0 rows: kept apart, each squared to the same terms
+        np.tile(_grip_support(rng, 1, d), (50, 1)),  # all identical
+        _grip_support(rng, 1, d),  # one point
+    ]
+    for pts in supports:
+        prior = KdePrior(points=pts, bandwidth=float(rng.uniform(0.004, 0.03)))
+        near = pts[rng.integers(0, len(pts), size=int(rng.integers(1, 12)))]
+        near = near + rng.normal(0.0, prior.bandwidth, size=near.shape)
+        bad = near.copy()
+        bad[0, int(rng.integers(0, d))] = [math.nan, math.inf, -math.inf][int(rng.integers(0, 3))]
+        for q in (near, near[0], pts[:3], -pts[:3], bad):
+            got = np.atleast_1d(density(prior, q))
+            want = _broadcast_density(prior, q)
+            assert got.shape == want.shape
+            # a NaN term's sign bit follows the division by -2h^2, the reference negates
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+def test_sorted_support_holds_the_distinct_rows_in_key_order():
+    rng = np.random.default_rng(24)
+    for pts in (_duplicated_support(rng, 30, 300, 4), _duplicated_support(rng, 5, 40, 16),
+                np.zeros((3, 4)), np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])):
+        prior = KdePrior(points=pts, bandwidth=0.01)
+        key, inverse, rows, keys = prior.sorted_support
+        assert key == int(np.argmax(np.ptp(pts, axis=0)))
+        assert rows[inverse].tobytes() == prior.points.tobytes()
+        assert len({row.tobytes() for row in rows}) == len(rows)  # distinct by bytes
+        assert keys.tobytes() == rows[:, key].tobytes()
+        assert np.all(keys[:-1] <= keys[1:])
+    assert len(prior.sorted_support[2]) == 2  # +0.0 and -0.0 stay apart
+
+
+def test_density_at_the_smallest_bandwidth_does_not_warn():
+    # 2 * h * h is just normal, so 9 / (2 h^2) exceeds the largest float
+    prior = KdePrior(points=[[0.0], [3.0]], bandwidth=1.0548e-154)
+    queries = np.array([[0.0], [3.0]])
+    with np.errstate(over="ignore"):
+        want = _broadcast_density(prior, queries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = density(prior, queries)
+    assert got.tobytes() == want.tobytes()
+    assert 0.0 < got[0] == got[1] < math.inf
+
+
 def test_prior_points_are_a_read_only_copy():
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     prior = KdePrior(points=pts, bandwidth=0.1)

@@ -172,6 +172,18 @@ MALFORMED_FRAMES = {
                           ": gripper_pos must be a list of 3 numbers, got (0.5, 'a', 0.2)"),
     "bool-object-coordinate": (_frame_edit(lambda f: _set(f, [True, 0.5, 0.02], "obs", "objects", 1, "pos")),
                                ": object 1: pos must be a list of 3 numbers, got (True, 0.5, 0.02)"),
+    "number-gripper-pos": (_frame_edit(lambda f: _set(f, 5, "obs", "gripper_pos")),
+                           ": gripper_pos must be a list of 3 numbers, got 5"),
+    "null-gripper-pos": (_frame_edit(lambda f: _set(f, None, "obs", "gripper_pos")),
+                         ": gripper_pos must be a list of 3 numbers, got None"),
+    "string-gripper-pos": (_frame_edit(lambda f: _set(f, "abc", "obs", "gripper_pos")),
+                           ": gripper_pos must be a list of 3 numbers, got 'abc'"),
+    "number-object-pos": (_frame_edit(lambda f: _set(f, 5, "obs", "objects", 1, "pos")),
+                          ": object 1: pos must be a list of 3 numbers, got 5"),
+    "null-object-pos": (_frame_edit(lambda f: _set(f, None, "obs", "objects", 1, "pos")),
+                        ": object 1: pos must be a list of 3 numbers, got None"),
+    "string-object-pos": (_frame_edit(lambda f: _set(f, "abc", "obs", "objects", 1, "pos")),
+                          ": object 1: pos must be a list of 3 numbers, got 'abc'"),
     "string-half-size": (_frame_edit(lambda f: _set(f, "x", "obs", "objects", 0, "half_size")),
                          ": object 0: half_size must be a number, got 'x'"),
     "infinite-half-size": (_frame_edit(lambda f: _set(f, math.inf, "obs", "objects", 0, "half_size")),
