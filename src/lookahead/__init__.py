@@ -39,7 +39,6 @@ from .bench import (
 from .errors import DataError, StateError
 from .kde import (
     KdePrior,
-    SamplePool,
     density,
     fit_kde,
     load_prior,

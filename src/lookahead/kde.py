@@ -27,9 +27,11 @@ support; the rounding bound needs a finite support, which ``KdePrior`` enforces.
 
 Demonstrated actions repeat (clamped deltas, a binary grip), so the window is
 taken over the support's distinct rows, and each kernel term is evaluated once
-per distinct row. A term depends only on the bits of its query and its row, so
-every support point takes its distinct row's term, at its own position, with the
-same bits as the full formula gives it. The terms are gathered back with
+per distinct row. The prior builds those rows, sorted along the widest axis, as
+``KdePrior.sorted_support`` when it is made, and pickles them with itself. A
+term depends only on the bits of its query and its row, so every support point
+takes its distinct row's term, at its own position, with the same bits as the
+full formula gives it. The terms are gathered back with
 ``take(..., axis=1)``, which returns a C-ordered array (fancy indexing along
 axis 1 returns an F-ordered one, whose row sums numpy takes in another order),
 so the mean sums the same values in the same order as over the whole support.
@@ -38,7 +40,6 @@ so the mean sums the same values in the same order as over the whole support.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -55,7 +56,11 @@ _CUTOFF_EXPONENT = 750.0
 
 @dataclasses.dataclass(frozen=True)
 class KdePrior:
-    """A kernel density estimate with an isotropic Gaussian kernel of fixed width."""
+    """A kernel density estimate with an isotropic Gaussian kernel of fixed width.
+
+    ``sorted_support``, the ``_sorted_support`` of ``points``, is a plain attribute
+    built with the prior and pickled with it.
+    """
 
     points: np.ndarray  # (n, d) support actions
     bandwidth: float
@@ -80,12 +85,7 @@ class KdePrior:
         if 2.0 * h * h < sys.float_info.min:  # the density's exponent divides by it
             raise ValueError(f"bandwidth {h!r} is too small: 2 * h * h underflows")
         object.__setattr__(self, "bandwidth", h)
-
-    def __getstate__(self) -> dict:
-        # the sorted support is rebuilt on demand, so pickles stay the size of the fields
-        state = self.__dict__.copy()
-        state.pop("sorted_support", None)
-        return state
+        object.__setattr__(self, "sorted_support", _sorted_support(pts))
 
     @property
     def dim(self) -> int:
@@ -95,48 +95,33 @@ class KdePrior:
     def n_points(self) -> int:
         return int(self.points.shape[0])
 
-    @functools.cached_property
-    def sorted_support(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """(key, inverse, rows, rows[:, key]), built on first use: the support's
-        distinct rows ``rows``, stably sorted along its widest coordinate ``key``,
-        and ``inverse``, the row of each support point, so ``rows[inverse]`` is
-        ``points``. Rows are told apart by their bytes, so +0.0 and -0.0 stay apart."""
-        pts = self.points
-        n, d = pts.shape
-        # np.ptp's values, without its wrapper's cost on the one-point priors of the noise arm
-        key = int((pts.max(axis=0) - pts.min(axis=0)).argmax())
-        order = np.argsort(pts[:, key], kind="stable")
-        by_key = pts[order]
-        raw = by_key.tobytes()
-        step = d * by_key.itemsize
-        # one pass over the key-sorted rows: a row's bytes seen first get the next
-        # distinct index, and its position heads that distinct row, so the distinct
-        # rows keep the key order
-        first: dict[bytes, int] = {}
-        rank, heads = [], []
-        for i, at in enumerate(range(0, n * step, step)):
-            r = first.setdefault(raw[at:at + step], len(heads))
-            if r == len(heads):
-                heads.append(i)
-            rank.append(r)
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[order] = rank
-        rows = by_key[heads] if len(heads) < n else by_key
-        return key, inverse, rows, rows[:, key].copy()
 
-
-@dataclasses.dataclass
-class SamplePool:
-    """Candidate actions drawn around one anchor."""
-
-    anchor: np.ndarray
-    candidates: np.ndarray  # (n, d)
-
-    def __post_init__(self) -> None:
-        self.anchor = np.asarray(self.anchor, dtype=float).ravel()
-        self.candidates = np.asarray(self.candidates, dtype=float)
-        if self.candidates.ndim != 2 or self.candidates.shape[1] != self.anchor.size:
-            raise ValueError("candidates must be (n, d) with d matching the anchor")
+def _sorted_support(pts: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(key, inverse, rows, rows[:, key]): the distinct rows ``rows`` of the support
+    ``pts``, stably sorted along its widest coordinate ``key``, and ``inverse``, the
+    row of each support point, so ``rows[inverse]`` is ``pts``. Rows are told apart
+    by their bytes, so +0.0 and -0.0 stay apart."""
+    n, d = pts.shape
+    # np.ptp's values, without its wrapper's cost on the one-point priors of the noise arm
+    key = int((pts.max(axis=0) - pts.min(axis=0)).argmax())
+    order = np.argsort(pts[:, key], kind="stable")
+    by_key = pts[order]
+    raw = by_key.tobytes()
+    step = d * by_key.itemsize
+    # one pass over the key-sorted rows: a row's bytes seen first get the next
+    # distinct index, and its position heads that distinct row, so the distinct
+    # rows keep the key order
+    first: dict[bytes, int] = {}
+    rank, heads = [], []
+    for i, at in enumerate(range(0, n * step, step)):
+        r = first.setdefault(raw[at:at + step], len(heads))
+        if r == len(heads):
+            heads.append(i)
+        rank.append(r)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = rank
+    rows = by_key[heads] if len(heads) < n else by_key
+    return key, inverse, rows, rows[:, key].copy()
 
 
 def fit_kde(actions: np.ndarray, bandwidth: float) -> KdePrior:
@@ -224,19 +209,24 @@ def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def top_k_near(pool: SamplePool, k: int) -> np.ndarray:
-    """The k candidates nearest the anchor, ascending by distance.
+def top_k_near(candidates: np.ndarray, k: int, anchor: np.ndarray) -> np.ndarray:
+    """The k rows of ``candidates`` (n, d) nearest ``anchor`` (d,), ascending by distance.
 
     Ties break toward the lower candidate index so the selection is a pure
-    function of the pool.
+    function of its inputs.
     """
-    n = pool.candidates.shape[0]
+    cands = np.asarray(candidates, dtype=float)
+    anchor = np.asarray(anchor, dtype=float).ravel()
+    # a 1-wide anchor would broadcast against any width without this check
+    if cands.ndim != 2 or cands.shape[1] != anchor.size:
+        raise ValueError("candidates must be (n, d) with d matching the anchor")
+    n = cands.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    diff = pool.candidates - pool.anchor[None, :]
+    diff = cands - anchor[None, :]
     dists = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm(diff, axis=1)
     order = np.argsort(dists, kind="stable")[:k]
-    return pool.candidates[order]  # fancy indexing: a fresh array
+    return cands[order]  # fancy indexing: a fresh array
 
 
 def weights_from_densities(densities: np.ndarray, total_budget: int) -> list[int]:

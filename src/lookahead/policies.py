@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .actions import Action, ActionChunk, DELTA_BOUND, MAX_CHUNK_LEN
 from .seeding import rng_from
 from .world import FollowCircle, Observation, PickPlace, Stack, step, waypoint_positions
@@ -120,11 +118,11 @@ class DriftPolicy:
         self.eta = eta
         self.sigma = sigma
         self.chunk_len = chunk_len
-        self._bias = np.zeros(3)
+        self._bias = (0.0, 0.0, 0.0)
         self._rng = rng_from("drift", 0, 0)
 
     def reset(self, episode_seed: int) -> None:
-        self._bias = np.zeros(3)
+        self._bias = (0.0, 0.0, 0.0)
         self._rng = rng_from("drift", 0, episode_seed)
 
     def propose(self, obs: Observation) -> ActionChunk:
@@ -134,7 +132,7 @@ class DriftPolicy:
         base = expert_action(obs)
         n0, n1, n2 = self._rng.normal(0.0, self.sigma, size=3).tolist()
         d0, d1, d2 = base.delta
-        b0, b1, b2 = bias = self._bias.tolist()
+        b0, b1, b2 = bias = self._bias
         # in Python floats, the array form's IEEE operations in its order:
         # (delta + bias) + noise, then np.clip against scalar bounds, which keeps
         # x unless x < lo and then unless x > hi, as max(x, lo) and min(x, hi) do
@@ -148,5 +146,5 @@ class DriftPolicy:
         norm = math.sqrt(u.dot(u))  # np.linalg.norm's formula for a real vector
         if norm > 0.0:
             eta = self.eta
-            self._bias = np.array([b + eta * (x / norm) for b, x in zip(bias, u.tolist())])
+            self._bias = tuple([b + eta * (x / norm) for b, x in zip(bias, u.tolist())])
         return Action(delta, base.grip)

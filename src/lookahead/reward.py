@@ -12,7 +12,6 @@ model)`` and ``FrameBankScorer(bank)``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import warnings
 from pathlib import Path
@@ -43,7 +42,11 @@ class LabeledFrame:
 
 @dataclasses.dataclass(frozen=True)
 class RewardModel:
-    """Linear reward head: weights over features plus a trailing bias."""
+    """Linear reward head: weights over features plus a trailing bias.
+
+    ``head``, the (feature weights, bias) split of ``weights``, is a plain
+    attribute built with the model and pickled with it.
+    """
 
     task_kind: str
     weights: np.ndarray
@@ -61,17 +64,7 @@ class RewardModel:
             raise ValueError("weights must be finite")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
-
-    def __getstate__(self) -> dict:
-        # the split weights are rebuilt on demand, so pickles stay the size of the fields
-        state = self.__dict__.copy()
-        state.pop("head", None)
-        return state
-
-    @functools.cached_property
-    def head(self) -> tuple[np.ndarray, float]:
-        """(feature weights, bias): ``weights`` split once, on first use."""
-        return self.weights[:-1], float(self.weights[-1])
+        object.__setattr__(self, "head", (weights[:-1], float(weights[-1])))
 
 
 def downsample(traj: Trajectory, stride: int) -> list[Observation]:

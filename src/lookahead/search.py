@@ -32,7 +32,7 @@ from .actions import (
     unflatten_chunk,
 )
 from .errors import StateError, require_types
-from .kde import KdePrior, SamplePool, sample, top_k_near, weights_from_densities, density
+from .kde import KdePrior, sample, top_k_near, weights_from_densities, density
 from .seeding import derive_seed
 from .world import Observation
 
@@ -139,7 +139,7 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
         prior = KdePrior(points=anchor[None, :], bandwidth=sigma)
 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
-    chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
+    chosen = top_k_near(cands, config.k, anchor)
     chosen[-1] = anchor  # anchor injection
     visits = weights_from_densities(density(prior, chosen), config.visit_budget)
 
@@ -298,10 +298,11 @@ def act(
     seed: int,
 ) -> ActionChunk:
     """Query the policy once, search from its proposal, and blend the searched
-    chunk's first action into the proposal's; the rest of the chunk passes through."""
-    chunk = policy.propose(obs)
+    chunk's first action into the proposal's; the rest of the chunk passes through.
+    A missing prior fails before the query, so the policy's state does not move."""
     if prior is None:
         raise ValueError("a fitted prior is required to search")
+    chunk = policy.propose(obs)
     result = run_search(obs, chunk, prior, world, reward, config, seed)
     searched = unflatten_chunk(result.action[:ACTION_DIM], 1)
     return ActionChunk((blend_actions(chunk[0], searched[0], config.alpha), *chunk.actions[1:]))

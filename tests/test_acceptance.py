@@ -19,7 +19,7 @@ import scipy.stats
 
 import lookahead as la
 from lookahead.actions import flatten_chunk, unflatten_chunk
-from lookahead.kde import SamplePool, density, fit_kde, sample, top_k_near
+from lookahead.kde import density, fit_kde, sample, top_k_near
 from lookahead.policies import DriftPolicy, ExpertPolicy, expert_action
 from lookahead.reward import FrameBankScorer, LabeledFrame, fit_reward, label_progress
 from lookahead.search import SearchConfig, TreeNode, backpropagate, run_search, select_ucb
@@ -143,7 +143,7 @@ def test_criterion_2_oracle_equivalence(stack_task, prior, demos, run_config):
         anchor = rng.normal(size=d)
         cands = rng.normal(size=(n, d))
         k = int(rng.integers(1, n + 1))
-        got = top_k_near(SamplePool(anchor=anchor, candidates=cands), k)
+        got = top_k_near(cands, k, anchor)
         order = np.argsort(np.linalg.norm(cands - anchor, axis=1), kind="stable")
         assert np.array_equal(got, cands[order[:k]])
 
@@ -226,7 +226,7 @@ def test_criterion_3_statistical_suite():
         d.reset(r)
         for _ in range(t_steps):
             d.propose(obs)
-        sq += float(d._bias @ d._bias)
+        sq += sum(b * b for b in d._bias)
     ratio = math.sqrt(sq / runs) / (eta * math.sqrt(t_steps))
     assert abs(ratio - 1.0) < 0.30
 

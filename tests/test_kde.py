@@ -11,11 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
+from lookahead import kde
 from lookahead.actions import action_bounds
 from lookahead.errors import DataError
 from lookahead.kde import (
     KdePrior,
-    SamplePool,
     density,
     fit_kde,
     load_prior,
@@ -285,16 +285,25 @@ def test_prior_points_are_a_read_only_copy():
         prior.points[0, 0] = 1.0
 
 
-def test_sorted_support_is_not_pickled():
+def test_sorted_support_is_pickled_with_the_prior(monkeypatch):
     rng = np.random.default_rng(22)
     prior = fit_kde(_grip_support(rng, 200, 4), 0.01)
-    before = pickle.dumps(prior)
-    first = density(prior, prior.points[:8])
-    assert "sorted_support" in vars(prior)
-    assert pickle.dumps(prior) == before
-    again = pickle.loads(before)
-    assert "sorted_support" not in vars(again)
-    assert density(again, prior.points[:8]).tobytes() == first.tobytes()
+    pickled = pickle.dumps(prior)
+    builds = []
+    build = kde._sorted_support
+    monkeypatch.setattr(kde, "_sorted_support", lambda pts: builds.append(pts) or build(pts))
+    again = pickle.loads(pickled)
+    assert builds == []  # the support arrives with the prior, not rebuilt
+    key, *arrays = prior.sorted_support
+    key_again, *arrays_again = again.sorted_support
+    assert key_again == key
+    for want, got in zip(arrays, arrays_again, strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert density(again, prior.points[:8]).tobytes() == density(prior, prior.points[:8]).tobytes()
+    assert builds == []
+    KdePrior(points=again.points, bandwidth=again.bandwidth)  # a new prior builds its own
+    assert len(builds) == 1
 
 
 def test_prior_rejects_a_bandwidth_whose_normalizer_overflows():
@@ -383,9 +392,7 @@ def test_sample_respects_bounds():
 
 
 def test_top_k_hand_example():
-    pool = SamplePool(anchor=np.array([1.4]),
-                      candidates=np.array([[1.0], [2.0], [5.0]]))
-    picked = np.asarray(top_k_near(pool, 2))
+    picked = np.asarray(top_k_near(np.array([[1.0], [2.0], [5.0]]), 2, np.array([1.4])))
     assert np.array_equal(picked.ravel(), [1.0, 2.0])
 
 
@@ -393,11 +400,19 @@ def test_top_k_whole_pool_sorted():
     rng = np.random.default_rng(7)
     cands = rng.normal(size=(12, 3))
     anchor = rng.normal(size=3)
-    out = np.asarray(top_k_near(SamplePool(anchor=anchor, candidates=cands), 12))
+    out = np.asarray(top_k_near(cands, 12, anchor))
     d = np.linalg.norm(out - anchor, axis=1)
     assert np.all(np.diff(d) >= -1e-15)
     with pytest.raises(ValueError):
-        top_k_near(SamplePool(anchor=anchor, candidates=cands), 13)
+        top_k_near(cands, 13, anchor)
+
+
+@pytest.mark.parametrize("cands_shape, anchor_size", [((6, 3), 1), ((6, 1), 3), ((6, 3), 4),
+                                                      ((6,), 1), ((2, 6, 3), 3)])
+def test_top_k_rejects_candidates_whose_width_is_not_the_anchor_size(cands_shape, anchor_size):
+    # a 1-element anchor would otherwise broadcast against (n, 3) candidates
+    with pytest.raises(ValueError, match="matching the anchor"):
+        top_k_near(np.zeros(cands_shape), 2, np.zeros(anchor_size))
 
 
 def test_top_k_matches_brute_force():
@@ -408,7 +423,7 @@ def test_top_k_matches_brute_force():
         k = int(rng.integers(1, n + 1))
         cands = rng.normal(size=(n, d))
         anchor = rng.normal(size=d)
-        got = np.asarray(top_k_near(SamplePool(anchor=anchor, candidates=cands), k))
+        got = np.asarray(top_k_near(cands, k, anchor))
         dist = np.linalg.norm(cands - anchor, axis=1)
         order = np.argsort(dist, kind="stable")[:k]
         assert np.array_equal(got, cands[order])

@@ -188,14 +188,14 @@ def test_model_weights_are_a_read_only_copy():
         model.weights[-1] = 1.0
 
 
-def test_split_weights_are_not_pickled(stack_task):
-    model = RewardModel("stack", np.linspace(-0.1, 0.1, la.feature_length(stack_task) + 1), 1.0)
-    before = pickle.dumps(model)
-    score = predict_reward(model, la.reset(stack_task, 3))
-    assert "head" in vars(model)
-    assert pickle.dumps(model) == before
-    again = pickle.loads(before)
-    assert "head" not in vars(again) and predict_reward(again, la.reset(stack_task, 3)) == score
+def test_split_weights_are_pickled_with_the_model(reward_model, demos):
+    again = pickle.loads(pickle.dumps(reward_model))
+    assert again.head[0].tobytes() == reward_model.head[0].tobytes()
+    assert again.head[1] == reward_model.head[1]
+    frames = downsample(next(t for t in demos if t.success), 4)
+    scores = [predict_reward(reward_model, f) for f in frames]
+    assert [predict_reward(again, f) for f in frames] == scores
+    assert any(0.0 < s < 1.0 for s in scores)  # not all clamped alike
 
 
 def test_predict_matches_trained_labels(reward_model, demos):

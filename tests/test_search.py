@@ -12,7 +12,7 @@ import pytest
 import lookahead as la
 from lookahead.actions import flatten_chunk, unflatten_chunk
 from lookahead.errors import StateError
-from lookahead.kde import KdePrior, SamplePool, sample, top_k_near
+from lookahead.kde import KdePrior, sample, top_k_near
 from lookahead.policies import ExpertPolicy
 from lookahead.search import (
     SearchConfig,
@@ -135,7 +135,7 @@ def test_expand_matches_replayed_top_k(stack_task, prior):
     kids = expand(root, prior, cfg, seed=12)
     rng_seed = derive_seed(12, "expand", 0)
     cands = sample(prior, cfg.pool_size, rng_seed, la.action_bounds(1))
-    chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), cfg.k)
+    chosen = top_k_near(cands, cfg.k, anchor)
     chosen[-1] = anchor
     for kid, expected in zip(kids, chosen):
         assert np.array_equal(kid.incoming_action, expected)
@@ -148,7 +148,7 @@ def _noise_expand_reference(node, sigma, config, seed):
     lo, hi = la.action_bounds(anchor.size // 4)
     rng = np.random.default_rng(derive_seed(seed, "expand", node.depth, *node.path()))
     cands = np.clip(anchor + rng.normal(0.0, sigma, size=(config.pool_size, anchor.size)), lo, hi)
-    chosen = top_k_near(SamplePool(anchor=anchor, candidates=cands), config.k)
+    chosen = top_k_near(cands, config.k, anchor)
     chosen[-1] = anchor
     weight_prior = KdePrior(points=anchor[None, :], bandwidth=sigma)
     dens = np.atleast_1d(la.density(weight_prior, chosen))
@@ -660,8 +660,13 @@ def test_act_alpha_one_returns_policy_action(stack_task, prior, reward_model):
 def test_act_without_a_prior_is_a_named_error(stack_task, reward_model):
     obs = la.reset(stack_task, 42)
     reward_fn = lambda o: la.predict_reward(reward_model, o)
+    pol, twin = la.DriftPolicy(), la.DriftPolicy()
+    pol.reset(7)
+    twin.reset(7)
     with pytest.raises(ValueError, match="^a fitted prior is required to search$"):
-        act(obs, ExpertPolicy(), None, la.step, reward_fn, SearchConfig(), seed=43)
+        act(obs, pol, None, la.step, reward_fn, SearchConfig(), seed=43)
+    # the failed call drew nothing from the policy's generator
+    assert flatten_chunk(pol.propose(obs)).tobytes() == flatten_chunk(twin.propose(obs)).tobytes()
 
 
 @pytest.mark.parametrize("chunk_len", [1, 4])
