@@ -64,7 +64,7 @@ from .search import (
     SearchConfig,
     SearchResult,
     SearchTrace,
-    TreeNode,
+    SearchTree,
     act,
     backpropagate,
     expand,
@@ -87,7 +87,6 @@ from .world import (
     render_features,
     reset,
     step,
-    validate_observation,
     waypoint_positions,
 )
 

@@ -59,7 +59,8 @@ class KdePrior:
     """A kernel density estimate with an isotropic Gaussian kernel of fixed width.
 
     ``sorted_support``, the ``_sorted_support`` of ``points``, is a plain attribute
-    built with the prior and pickled with it.
+    built with the prior and pickled with it. Its arrays and ``points`` are
+    read-only, in an unpickled prior too.
     """
 
     points: np.ndarray  # (n, d) support actions
@@ -86,6 +87,12 @@ class KdePrior:
             raise ValueError(f"bandwidth {h!r} is too small: 2 * h * h underflows")
         object.__setattr__(self, "bandwidth", h)
         object.__setattr__(self, "sorted_support", _sorted_support(pts))
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable: fix them again, support as pickled
+        self.__dict__.update(state)
+        for arr in (self.points, *self.sorted_support[1:]):
+            arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -121,7 +128,10 @@ def _sorted_support(pts: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.nd
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = rank
     rows = by_key[heads] if len(heads) < n else by_key
-    return key, inverse, rows, rows[:, key].copy()
+    keys = rows[:, key].copy()
+    for arr in (inverse, rows, keys):
+        arr.flags.writeable = False
+    return key, inverse, rows, keys
 
 
 def fit_kde(actions: np.ndarray, bandwidth: float) -> KdePrior:
@@ -151,9 +161,10 @@ def sample(
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, prior.n_points, size=n)
-    draws = prior.points[idx] + rng.normal(0.0, prior.bandwidth, size=(n, prior.dim))
+    draws = prior.points.take(idx, axis=0)  # points[idx] + noise, bit for bit
+    draws += rng.normal(0.0, prior.bandwidth, size=(n, prior.dim))
     if bounds is not None:
-        np.clip(draws, bounds[0], bounds[1], out=draws)
+        draws.clip(bounds[0], bounds[1], out=draws)
     return draws
 
 
@@ -226,7 +237,7 @@ def top_k_near(candidates: np.ndarray, k: int, anchor: np.ndarray) -> np.ndarray
     diff = cands - anchor[None, :]
     dists = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm(diff, axis=1)
     order = np.argsort(dists, kind="stable")[:k]
-    return cands[order]  # fancy indexing: a fresh array
+    return cands.take(order, axis=0)  # a fresh array
 
 
 def weights_from_densities(densities: np.ndarray, total_budget: int) -> list[int]:

@@ -45,7 +45,8 @@ class RewardModel:
     """Linear reward head: weights over features plus a trailing bias.
 
     ``head``, the (feature weights, bias) split of ``weights``, is a plain
-    attribute built with the model and pickled with it.
+    attribute built with the model and pickled with it. Its array and
+    ``weights`` are read-only, in an unpickled model too.
     """
 
     task_kind: str
@@ -65,6 +66,12 @@ class RewardModel:
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
         object.__setattr__(self, "head", (weights[:-1], float(weights[-1])))
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable: fix them again
+        self.__dict__.update(state)
+        for arr in (self.weights, self.head[0]):
+            arr.flags.writeable = False
 
 
 def downsample(traj: Trajectory, stride: int) -> list[Observation]:

@@ -1,14 +1,14 @@
 """Tree search over a world-model interface, guided by a density prior.
 
-One search builds a shallow tree below the current state. Each level expands
-the selected node with the k prior samples nearest its incoming action (the
-policy proposal itself is always kept as a candidate), simulates every child
-through the world model, scores it with the reward head, and backs the values
-up; UCB then picks the node to deepen. The returned action is the root child
-with the best backed-up value, and the caller blends it into the policy's
-proposal with weight 1 - alpha. The flat ``SearchTrace`` of a finished tree is
-built on demand, when a caller reads ``SearchResult.trace``; acting on the
-result alone never builds it.
+One search builds a shallow tree below the current state, one level at a
+time: it expands the selected node with the k prior samples nearest its
+incoming action (the policy proposal always stays a candidate), rolls each
+child through the world model, scores it with the reward head and backs the
+values up; UCB then picks the node to deepen. The returned action is the root
+child with the best backed-up value, which the caller blends into the policy's
+proposal with weight 1 - alpha. The tree is a ``SearchTree`` of flat per-node
+lists, with no object per node; its root is never scored. ``SearchResult.trace``
+flattens it on first read, so acting on the result alone never builds it.
 """
 
 from __future__ import annotations
@@ -85,37 +85,49 @@ class SearchConfig:
         return dataclasses.asdict(self)
 
 
-class TreeNode:
-    """One node of the search tree: a state reached by an incoming action."""
-
-    __slots__ = ("obs", "incoming_action", "reward", "value", "visits",
-                 "children", "parent", "depth", "index")
-
-    def __init__(self, obs: Observation | None = None,
-                 incoming_action: np.ndarray | None = None,
-                 reward: float = 0.0, visits: int = 1,
-                 parent: "TreeNode | None" = None, depth: int = 0, index: int = 0):
-        self.obs = obs
-        self.incoming_action = incoming_action
-        self.reward = reward
-        self.value = reward
-        self.visits = visits
-        self.children: list[TreeNode] = []
-        self.parent = parent
-        self.depth = depth
-        self.index = index  # position among siblings; ties in selection break low
-
-    def path(self) -> tuple[int, ...]:
-        out: list[int] = []
-        node = self
-        while node.parent is not None:
-            out.append(node.index)
-            node = node.parent
-        return tuple(reversed(out))
+_LEAF = range(0)  # the children of a node that was not expanded
 
 
-def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> list[TreeNode]:
-    """Attach k candidate children drawn around the node's incoming action.
+class SearchTree:
+    """The nodes of one search as flat per-node lists; node 0 is the root.
+
+    An expansion appends all of a node's children at once, so ``children[i]``
+    is a range of ids. Actions are lists of Python floats. The root is not
+    scored: its reward and value stay None.
+    """
+
+    __slots__ = ("parent", "action", "reward", "value", "visits", "depth", "children")
+
+    def __init__(self, action: list[float]):
+        self.parent: list[int] = [-1]
+        self.action: list[list[float]] = [action]
+        self.reward: list[float | None] = [None]
+        self.value: list[float | None] = [None]
+        self.visits: list[int] = [0]
+        self.depth: list[int] = [0]
+        self.children: list[range] = [_LEAF]
+
+    def add_children(self, node: int, actions: list[list[float]], visits: list[int],
+                     rewards: list[float]) -> int:
+        """Append the children of ``node``, which must be unexpanded; returns the first one's id."""
+        if self.children[node]:
+            raise StateError("node is already expanded")
+        first, k = len(self.parent), len(actions)
+        self.children[node] = range(first, first + k)
+        self.parent += [node] * k
+        self.action += actions
+        self.reward += rewards
+        self.value += rewards  # a leaf's value is its own reward
+        self.visits += visits
+        self.depth += [self.depth[node] + 1] * k
+        self.children += [_LEAF] * k
+        return first
+
+
+def expand(anchor: np.ndarray, path: list[int], prior: KdePrior, config: SearchConfig,
+           seed: int) -> tuple[np.ndarray, list[int]]:
+    """The k candidate actions around ``anchor``, the incoming action of the node
+    reached from the root by the child indices ``path``, and their initial visit counts.
 
     Candidates are the k pool samples nearest the anchor; the anchor itself
     replaces the farthest of them so the policy proposal always stays in the
@@ -124,14 +136,9 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
     one-point prior of bandwidth ``noise_sigma`` (the prior's by default), so
     it differs from the method in the support it draws around and nothing else.
     """
-    if node.children:
-        raise StateError("node is already expanded")
-    if node.incoming_action is None:
-        raise StateError("node has no anchor action to expand around")
-    anchor = np.asarray(node.incoming_action, dtype=float)
     if anchor.size % ACTION_DIM != 0:
         raise ValueError("anchor length is not a whole number of actions")
-    rng_seed = derive_seed(seed, "expand", node.depth, *node.path())
+    rng_seed = derive_seed(seed, "expand", len(path), *path)
     bounds = action_bounds(anchor.size // ACTION_DIM)
 
     if config.sampler == "noise":
@@ -141,62 +148,62 @@ def expand(node: TreeNode, prior: KdePrior, config: SearchConfig, seed: int) -> 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(cands, config.k, anchor)
     chosen[-1] = anchor  # anchor injection
-    visits = weights_from_densities(density(prior, chosen), config.visit_budget)
-
-    # each child holds a row of ``chosen``, which this expansion owns
-    depth = node.depth + 1
-    node.children = [
-        TreeNode(incoming_action=chosen[i], visits=visits[i], parent=node, depth=depth, index=i)
-        for i in range(config.k)
-    ]
-    return node.children
+    return chosen, weights_from_densities(density(prior, chosen), config.visit_budget)
 
 
-def simulate(node: TreeNode, world: WorldModel, reward: RewardFn) -> float:
-    """Roll the node's incoming action(s) through the world model and score it."""
-    if node.parent is None or node.parent.obs is None:
-        raise StateError("simulate needs a parent with a realized observation")
-    obs = node.parent.obs
-    for a in split_actions(node.incoming_action.tolist()):
-        obs = world(obs, a)
-    node.obs = obs
-    node.reward = float(reward(obs))
-    node.value = node.reward  # leaf value starts at its own reward
-    return node.reward
+def simulate(obs: Observation, actions: list[list[float]], world: WorldModel,
+             reward: RewardFn) -> tuple[list[Observation], list[float]]:
+    """Roll each flattened action (a chunk of one or more actions) through the
+    world model from ``obs``; the states reached and their rewards."""
+    states, rewards = [], []
+    for vals in actions:
+        state = obs
+        for a in split_actions(vals):
+            state = world(state, a)
+        states.append(state)
+        rewards.append(float(reward(state)))
+    return states, rewards
 
 
-def backpropagate(leaf: TreeNode) -> None:
-    """Recompute counts and values on the path from the leaf's parent to the root.
+def backpropagate(tree: SearchTree, node: int) -> None:
+    """Recompute counts and values from the children, at ``node`` and up to the root.
 
-    Each ancestor's count becomes the sum of its children's counts, and its
-    value the count-weighted mix of its own reward with the children's values:
+    Each node's count becomes the sum of its children's counts, and its value
+    the count-weighted mix of its own reward with the children's values:
 
         N(o) = sum_j N(o_j)
         Q(o) = (N(o) * r + sum_j N(o_j) * Q(o_j)) / (N(o) + sum_j N(o_j))
+
+    The unscored root gets its count only.
     """
-    node = leaf.parent
-    while node is not None:
+    parent, children, reward, value, visits = (tree.parent, tree.children, tree.reward,
+                                               tree.value, tree.visits)
+    while node >= 0:
         child_visits = 0
         weighted = 0.0
-        for ch in node.children:
-            child_visits += ch.visits
-            weighted += ch.visits * ch.value
-        node.visits = child_visits
-        node.value = (node.visits * node.reward + weighted) / (node.visits + child_visits)
-        node = node.parent
+        for j in children[node]:
+            child_visits += visits[j]
+            weighted += visits[j] * value[j]
+        visits[node] = child_visits
+        r = reward[node]
+        if r is not None:
+            value[node] = (child_visits * r + weighted) / (child_visits + child_visits)
+        node = parent[node]
 
 
-def select_ucb(node: TreeNode, c: float) -> TreeNode:
+def select_ucb(tree: SearchTree, node: int, c: float) -> int:
     """The child maximizing Q + c * sqrt(ln N(parent) / (1 + N(child)))."""
-    if not node.children:
+    kids = tree.children[node]
+    if not kids:
         raise StateError("cannot select from an unexpanded node")
-    log_n = math.log(node.visits)
-    best = node.children[0]
+    value, visits = tree.value, tree.visits
+    log_n = math.log(visits[node])
+    best = kids[0]
     best_score = -math.inf
-    for ch in node.children:
-        score = ch.value + c * math.sqrt(log_n / (1 + ch.visits))
+    for j in kids:
+        score = value[j] + c * math.sqrt(log_n / (1 + visits[j]))
         if score > best_score:  # strict: ties keep the lowest index
-            best, best_score = ch, score
+            best, best_score = j, score
     return best
 
 
@@ -204,33 +211,32 @@ def select_ucb(node: TreeNode, c: float) -> TreeNode:
 class TraceNode:
     id: int
     parent: int | None
-    action: tuple[float, ...] | None
-    reward: float
-    value: float
+    action: tuple[float, ...]
+    reward: float | None
+    value: float | None
     visits: int
     depth: int
 
 
 @dataclasses.dataclass(frozen=True)
 class SearchTrace:
-    """Flattened snapshot of a finished search tree, for diagnostics."""
+    """Flattened snapshot of a finished search tree in depth-first order, for diagnostics."""
 
     nodes: tuple[TraceNode, ...]
 
     @classmethod
-    def from_tree(cls, root: TreeNode) -> "SearchTrace":
+    def from_tree(cls, tree: SearchTree) -> "SearchTrace":
         nodes: list[TraceNode] = []
 
-        def visit(node: TreeNode, parent_id: int | None) -> None:
+        def visit(i: int, parent_id: int | None) -> None:
             nid = len(nodes)
-            act = None if node.incoming_action is None else tuple(float(v) for v in node.incoming_action)
-            nodes.append(TraceNode(id=nid, parent=parent_id, action=act,
-                                   reward=node.reward, value=node.value,
-                                   visits=node.visits, depth=node.depth))
-            for ch in node.children:
+            nodes.append(TraceNode(id=nid, parent=parent_id, action=tuple(tree.action[i]),
+                                   reward=tree.reward[i], value=tree.value[i],
+                                   visits=tree.visits[i], depth=tree.depth[i]))
+            for ch in tree.children[i]:
                 visit(ch, nid)
 
-        visit(root, None)
+        visit(0, None)
         return cls(nodes=tuple(nodes))
 
     def to_json(self) -> str:
@@ -247,11 +253,11 @@ class SearchResult:
     """
 
     action: np.ndarray  # flattened action of the best root child
-    root: TreeNode
+    tree: SearchTree
 
     @functools.cached_property
     def trace(self) -> SearchTrace:
-        return SearchTrace.from_tree(self.root)
+        return SearchTrace.from_tree(self.tree)
 
 
 def run_search(
@@ -275,17 +281,21 @@ def run_search(
     anchor = flatten_chunk(proposal_chunk)
     if prior.dim != anchor.size:
         raise ValueError(f"prior dimension {prior.dim} does not match the proposal length {anchor.size}")
-    root = TreeNode(obs=obs, incoming_action=anchor, reward=float(reward(obs)))
-    node = root
+    tree = SearchTree(anchor.tolist())
+    node, path = 0, []
     for level in range(1, config.max_depth + 1):
-        children = expand(node, prior, config, seed)
-        for child in children:
-            simulate(child, world, reward)
-        backpropagate(children[-1])
+        chosen, visits = expand(anchor, path, prior, config, seed)
+        actions = chosen.tolist()
+        states, rewards = simulate(obs, actions, world, reward)
+        first = tree.add_children(node, actions, visits, rewards)
+        backpropagate(tree, node)
         if level < config.max_depth:  # the last level's pick would go unread
-            node = select_ucb(node, config.c)
-    best = max(root.children, key=lambda ch: ch.value)  # ties keep the lowest index
-    return SearchResult(action=np.asarray(best.incoming_action, dtype=float).copy(), root=root)
+            node = select_ucb(tree, node, config.c)
+            i = node - first
+            path.append(i)
+            obs, anchor = states[i], chosen[i]
+    best = max(tree.children[0], key=tree.value.__getitem__)  # ties keep the lowest index
+    return SearchResult(action=np.array(tree.action[best]), tree=tree)
 
 
 def act(

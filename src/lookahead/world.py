@@ -283,8 +283,10 @@ def _settle(me: ObjectState, supports: Iterable[ObjectState], tolerance: float) 
     return ObjectState((x, y, support_top + me.half_size), me.half_size)
 
 
-def step(obs: Observation, action: Action) -> Observation:
-    """One transition. Pure: same (obs, action) always yields the same state."""
+def _transition(obs: Observation, action: Action
+                ) -> tuple[tuple[float, float, float], bool, int | None, list[ObjectState], int]:
+    """The parts of ``step``'s next state that change: gripper position, grip,
+    held object, objects and waypoints hit."""
     dx, dy, dz = action.delta
     if abs(dx) > DELTA_LIMIT or abs(dy) > DELTA_LIMIT or abs(dz) > DELTA_LIMIT:
         raise ValueError("action delta outside the per-step bound")
@@ -321,16 +323,14 @@ def step(obs: Observation, action: Action) -> Observation:
         wps = waypoint_positions(obs.task)
         while hit < len(wps) and math.dist(gp, wps[hit]) <= obs.task.tolerance:
             hit += 1
+    return gp, closed_now, held, objects, hit
 
-    return Observation(
-        gripper_pos=gp,
-        grip_closed=closed_now,
-        held_object=held,
-        objects=tuple(objects),
-        task=obs.task,
-        step_index=obs.step_index + 1,
-        waypoints_hit=hit,
-    )
+
+def step(obs: Observation, action: Action) -> Observation:
+    """One transition. Pure: same (obs, action) always yields the same state."""
+    gp, closed, held, objects, hit = _transition(obs, action)
+    # positional, in field order: cheaper than keywords on the hot path
+    return Observation(gp, closed, held, tuple(objects), obs.task, obs.step_index + 1, hit)
 
 
 def is_success(obs: Observation) -> bool:
@@ -374,37 +374,26 @@ def imperfect_step(obs: Observation, action: Action, epsilon: float, model_seed:
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    base = step(obs, action)
     if epsilon == 0.0:
-        return base
+        return step(obs, action)
+    gp, closed, held, objects, hit = _transition(obs, action)
     key = derive_seed("model", obs.canonical_bytes(),
                       struct.pack(">4d", *action.delta, action.grip), model_seed)
     rng = np.random.default_rng(key)
     # as Python floats: the same IEEE sums, and the state keeps plain floats
-    off = rng.uniform(-epsilon, epsilon, size=3 + 3 * len(base.objects)).tolist()
-    gp = (_clip01(base.gripper_pos[0] + off[0]),
-          _clip01(base.gripper_pos[1] + off[1]),
-          _clip01(base.gripper_pos[2] + off[2]))
-    objects = []
-    for i, o in enumerate(base.objects):
-        if i == base.held_object:
-            objects.append(ObjectState(gp, o.half_size))  # held rides the gripper
+    off = rng.uniform(-epsilon, epsilon, size=3 + 3 * len(objects)).tolist()
+    gp = (_clip01(gp[0] + off[0]), _clip01(gp[1] + off[1]), _clip01(gp[2] + off[2]))
+    for i, o in enumerate(objects):
+        if i == held:
+            objects[i] = ObjectState(gp, o.half_size)  # held rides the gripper
             continue
         j = 3 + 3 * i
-        objects.append(ObjectState(
+        objects[i] = ObjectState(
             (_clip01(o.pos[0] + off[j]), _clip01(o.pos[1] + off[j + 1]), _clip01(o.pos[2] + off[j + 2])),
             o.half_size,
-        ))
-    objects = _resettle_free(objects, base.held_object, obs.task.tolerance)
-    return Observation(
-        gripper_pos=gp,
-        grip_closed=base.grip_closed,
-        held_object=base.held_object,
-        objects=tuple(objects),
-        task=base.task,
-        step_index=base.step_index,
-        waypoints_hit=base.waypoints_hit,
-    )
+        )
+    objects = _resettle_free(objects, held, obs.task.tolerance)
+    return Observation(gp, closed, held, tuple(objects), obs.task, obs.step_index + 1, hit)
 
 
 def feature_length(task: TaskSpec) -> int:
@@ -445,46 +434,3 @@ def render_features(obs: Observation) -> np.ndarray:
             feats.extend((0.0, 0.0, 0.0))
         feats.append(obs.waypoints_hit / kind.n_waypoints)
     return np.array(feats, dtype=float)
-
-
-def validate_observation(obs: Observation) -> None:
-    """Raise if a state violates the world's structural invariants.
-
-    The interpenetration check covers free objects only: a held object is
-    attached to the gripper, not resting, and the world has no collision
-    dynamics for it.
-    """
-    for v in obs.gripper_pos:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("gripper outside the workspace")
-    for o in obs.objects:
-        for v in o.pos:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("object outside the workspace")
-    if obs.held_object is not None:
-        if not obs.grip_closed:
-            raise ValueError("held object requires a closed grip")
-        if obs.objects[obs.held_object].pos != obs.gripper_pos:
-            raise ValueError("held object must ride the gripper")
-    tol = obs.task.tolerance
-    for i, o in enumerate(obs.objects):
-        if i == obs.held_object:
-            continue
-        # resting height: table, or the top of some block within tolerance
-        ok = abs(o.pos[2] - o.half_size) <= _Z_ATOL
-        for j, other in enumerate(obs.objects):
-            if ok or j == i:
-                continue
-            horiz = math.hypot(other.pos[0] - o.pos[0], other.pos[1] - o.pos[1])
-            if horiz <= tol and abs(o.pos[2] - (other.pos[2] + other.half_size + o.half_size)) <= _Z_ATOL:
-                ok = True
-        if not ok:
-            raise ValueError(f"object {i} is not resting on a support")
-    free = [i for i in range(len(obs.objects)) if i != obs.held_object]
-    for a_i in range(len(free)):
-        for b_i in range(a_i + 1, len(free)):
-            a, b = obs.objects[free[a_i]], obs.objects[free[b_i]]
-            lim = a.half_size + b.half_size - 1e-6
-            horiz = math.hypot(a.pos[0] - b.pos[0], a.pos[1] - b.pos[1])
-            if horiz < lim and abs(a.pos[2] - b.pos[2]) < lim:
-                raise ValueError(f"objects {free[a_i]} and {free[b_i]} interpenetrate")

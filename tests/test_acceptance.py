@@ -22,7 +22,7 @@ from lookahead.actions import flatten_chunk, unflatten_chunk
 from lookahead.kde import density, fit_kde, sample, top_k_near
 from lookahead.policies import DriftPolicy, ExpertPolicy, expert_action
 from lookahead.reward import FrameBankScorer, LabeledFrame, fit_reward, label_progress
-from lookahead.search import SearchConfig, TreeNode, backpropagate, run_search, select_ucb
+from lookahead.search import SearchConfig, SearchTree, backpropagate, run_search, select_ucb
 from lookahead.seeding import derive_seed
 from lookahead.world import render_features
 
@@ -37,34 +37,45 @@ def benchmark_report(run_config, prior, reward_model):
     return report, time.perf_counter() - t0
 
 
+NO_ACTION = [0.0, 0.0, 0.0, 0.0]
+
+
 def _random_tree(rng, max_depth=4):
-    root = TreeNode(reward=float(rng.uniform()))
+    """A random tree whose top node is node 1, below the search's unscored
+    root, and its leaves in depth-first order."""
+
+    def grow(depth):
+        if depth == max_depth or (depth > 0 and rng.uniform() < 0.3):
+            return []
+        return [(float(rng.uniform()), int(rng.integers(1, 6)), grow(depth + 1))
+                for _ in range(int(rng.integers(1, 5)))]
+
+    tree = SearchTree(NO_ACTION)
+    tree.add_children(0, [NO_ACTION], [0], [float(rng.uniform())])
     leaves = []
 
-    def grow(node, depth):
-        if depth == max_depth or (depth > 0 and rng.uniform() < 0.3):
+    def lay_out(node, kids):
+        if not kids:
             leaves.append(node)
             return
-        for i in range(int(rng.integers(1, 5))):
-            ch = TreeNode(reward=float(rng.uniform()),
-                          visits=int(rng.integers(1, 6)),
-                          parent=node, depth=depth + 1, index=i)
-            node.children.append(ch)
-            grow(ch, depth + 1)
+        first = tree.add_children(node, [NO_ACTION] * len(kids),
+                                  [n for _, n, _ in kids], [r for r, _, _ in kids])
+        for i, (_, _, sub) in enumerate(kids):
+            lay_out(first + i, sub)
 
-    grow(root, 0)
-    return root, leaves
+    lay_out(1, grow(0))
+    return tree, leaves
 
 
-def _recompute(node):
-    if not node.children:
-        return node.value, node.visits
+def _recompute(tree, node):
+    if not tree.children[node]:
+        return tree.value[node], tree.visits[node]
     total, weighted = 0, 0.0
-    for ch in node.children:
-        q, n = _recompute(ch)
+    for ch in tree.children[node]:
+        q, n = _recompute(tree, ch)
         total += n
         weighted += n * q
-    return (total * node.reward + weighted) / (total + total), total
+    return (total * tree.reward[node] + weighted) / (total + total), total
 
 
 # --- criterion 1 ------------------------------------------------------------
@@ -89,11 +100,11 @@ def test_criterion_1_equation_exactness():
     assert abs(density(two, np.array([0.0])) - 0.24197072451914337) < 1e-9
 
     # backup equation: r=0.5 with one child (Q=1.0, N=2) -> 0.75
-    node = TreeNode(reward=0.5, visits=2)
-    leaf = TreeNode(reward=1.0, visits=2, parent=node, depth=1)
-    node.children = [leaf]
-    backpropagate(leaf)
-    assert abs(node.value - 0.75) < 1e-9
+    tree = SearchTree(NO_ACTION)
+    tree.add_children(0, [NO_ACTION], [2], [0.5])
+    tree.add_children(1, [NO_ACTION], [2], [1.0])
+    backpropagate(tree, 1)
+    assert abs(tree.value[1] - 0.75) < 1e-9
 
     # selection rule: the engine's scores must sit within 1e-9 of the hand
     # formula, probed at the decision boundary between two children
@@ -101,28 +112,27 @@ def test_criterion_1_equation_exactness():
     s_light = 0.5 + c * math.sqrt(math.log(9) / 2)
     flip = s_light - c * math.sqrt(math.log(9) / 9)
     for nudge, expect_heavy in ((1e-9, True), (-1e-9, False)):
-        parent = TreeNode(reward=0.0, visits=9)
-        heavy = TreeNode(reward=flip + nudge, visits=8, parent=parent, index=0)
-        light = TreeNode(reward=0.5, visits=1, parent=parent, index=1)
-        parent.children = [heavy, light]
-        assert (select_ucb(parent, c) is heavy) == expect_heavy
+        tree = SearchTree(NO_ACTION)
+        tree.add_children(0, [NO_ACTION], [9], [0.0])
+        heavy = tree.add_children(1, [NO_ACTION] * 2, [8, 1], [flip + nudge, 0.5])
+        assert (select_ucb(tree, 1, c) == heavy) == expect_heavy
 
     # whole-tree recomputation over 100 random trees at 1e-12
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(100):
-        root, leaves = _random_tree(rng)
+        tree, leaves = _random_tree(rng)
         for lf in leaves:
-            backpropagate(lf)
-        stack = [root]
+            backpropagate(tree, tree.parent[lf])
+        stack = [1]
         while stack:
             n = stack.pop()
-            if n.children:
-                q, cnt = _recompute(n)
-                worst = max(worst, abs(n.value - q))
-                assert abs(n.value - q) <= 1e-12
-                assert n.visits == cnt
-                stack.extend(n.children)
+            if tree.children[n]:
+                q, cnt = _recompute(tree, n)
+                worst = max(worst, abs(tree.value[n] - q))
+                assert abs(tree.value[n] - q) <= 1e-12
+                assert tree.visits[n] == cnt
+                stack.extend(tree.children[n])
 
     dt = time.perf_counter() - t0
     print(f"\ncriterion 1: worst tree residual {worst:.2e}, {dt:.2f}s")

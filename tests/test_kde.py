@@ -306,6 +306,19 @@ def test_sorted_support_is_pickled_with_the_prior(monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("array", ["points", "inverse", "rows", "keys"])
+def test_prior_arrays_stay_read_only_through_a_pickle(array):
+    rng = np.random.default_rng(23)
+    prior = fit_kde(_grip_support(rng, 50, 4), 0.01)
+    again = pickle.loads(pickle.dumps(prior))
+    for p in (prior, again):
+        _, inverse, rows, keys = p.sorted_support
+        arr = {"points": p.points, "inverse": inverse, "rows": rows, "keys": keys}[array]
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
 def test_prior_rejects_a_bandwidth_whose_normalizer_overflows():
     # (1e-90) ** -4 overflows a float; at d = 1 the same width is usable
     with pytest.raises(ValueError, match=r"^bandwidth 1e-90 is too small for dimension 4: h \*\* -4 overflows$"):
@@ -352,6 +365,9 @@ def test_bounded_sample_equals_clipped_draws_bit_for_bit():
         hi = np.tile([0.05, 0.05, 0.05, 1.0], chunk_len)
         for seed in range(10):
             raw = sample(prior, 256, seed)
+            replay = np.random.default_rng(seed)  # a support point plus noise, as the formula reads
+            drawn = pts[replay.integers(0, 50, size=256)] + replay.normal(0.0, 0.03, size=(256, pts.shape[1]))
+            assert raw.tobytes() == drawn.tobytes()
             got = sample(prior, 256, seed, bounds=(lo, hi))
             assert got.tobytes() == np.clip(raw, lo, hi).tobytes()
 

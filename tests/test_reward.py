@@ -198,6 +198,16 @@ def test_split_weights_are_pickled_with_the_model(reward_model, demos):
     assert any(0.0 < s < 1.0 for s in scores)  # not all clamped alike
 
 
+@pytest.mark.parametrize("array", ["weights", "head"])
+def test_model_arrays_stay_read_only_through_a_pickle(reward_model, array):
+    again = pickle.loads(pickle.dumps(reward_model))
+    for model in (reward_model, again):
+        arr = model.weights if array == "weights" else model.head[0]
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
 def test_predict_matches_trained_labels(reward_model, demos):
     # in-sample: the fitted head should track progress along a training demo
     traj = next(t for t in demos if t.success)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lookahead as la
+import reference_search as ref
 from lookahead.actions import flatten_chunk, unflatten_chunk
 from lookahead.errors import StateError
 from lookahead.kde import KdePrior, sample, top_k_near
@@ -17,7 +18,7 @@ from lookahead.policies import ExpertPolicy
 from lookahead.search import (
     SearchConfig,
     SearchTrace,
-    TreeNode,
+    SearchTree,
     act,
     backpropagate,
     expand,
@@ -27,6 +28,8 @@ from lookahead.search import (
 )
 from lookahead.seeding import derive_seed
 from lookahead.world import GRASP_RADIUS
+
+NO_ACTION = [0.0, 0.0, 0.0, 0.0]
 
 
 def _goal_reward(obs0, action):
@@ -39,42 +42,52 @@ def _goal_reward(obs0, action):
     return fn
 
 
-def _recompute(node):
+def _recompute(tree, node):
     """Independent bottom-up evaluation of the backup equation."""
-    if not node.children:
-        return node.value, node.visits
+    if not tree.children[node]:
+        return tree.value[node], tree.visits[node]
     total, weighted = 0, 0.0
-    for ch in node.children:
-        q, n = _recompute(ch)
+    for ch in tree.children[node]:
+        q, n = _recompute(tree, ch)
         total += n
         weighted += n * q
-    return (total * node.reward + weighted) / (total + total), total
+    return (total * tree.reward[node] + weighted) / (total + total), total
 
 
-def _subtree_rewards(node):
-    out = [node.reward]
-    for ch in node.children:
-        out.extend(_subtree_rewards(ch))
+def _subtree_rewards(tree, node):
+    out = [tree.reward[node]]
+    for ch in tree.children[node]:
+        out.extend(_subtree_rewards(tree, ch))
     return out
 
 
 def _random_tree(rng, max_depth=4):
-    root = TreeNode(reward=float(rng.uniform()))
+    """A random flat tree below an unscored root, and its leaves in depth-first order."""
+    tree = SearchTree(NO_ACTION)
     leaves = []
 
     def grow(node, depth):
         if depth == max_depth or (depth > 0 and rng.uniform() < 0.3):
             leaves.append(node)
             return
-        for i in range(int(rng.integers(1, 5))):
-            ch = TreeNode(reward=float(rng.uniform()),
-                          visits=int(rng.integers(1, 6)),
-                          parent=node, depth=depth + 1, index=i)
-            node.children.append(ch)
+        k = int(rng.integers(1, 5))
+        visits = [int(v) for v in rng.integers(1, 6, size=k)]
+        rewards = [float(r) for r in rng.uniform(size=k)]
+        first = tree.add_children(node, [NO_ACTION] * k, visits, rewards)
+        for ch in range(first, first + k):
             grow(ch, depth + 1)
 
-    grow(root, 0)
-    return root, leaves
+    grow(0, 0)
+    return tree, leaves
+
+
+def _one_level(rewards, visits):
+    """A root with one expanded child, node 1 (reward 0.0), whose children hold the
+    given rewards and visit counts."""
+    tree = SearchTree(NO_ACTION)
+    tree.add_children(0, [NO_ACTION], [1], [0.0])
+    tree.add_children(1, [NO_ACTION] * len(rewards), list(visits), list(rewards))
+    return tree
 
 
 # --- config ---------------------------------------------------------------
@@ -116,37 +129,32 @@ def test_config_dict_round_trip():
 def test_expand_injects_anchor_and_sets_weights(stack_task, prior):
     obs = la.reset(stack_task, 0)
     anchor = flatten_chunk(ExpertPolicy().propose(obs))
-    root = TreeNode(obs=obs, incoming_action=anchor)
     cfg = SearchConfig()
-    kids = expand(root, prior, cfg, seed=11)
-    assert len(kids) == cfg.k
-    assert np.array_equal(kids[-1].incoming_action, anchor)
-    assert all(k.visits >= 1 for k in kids)
-    assert sum(k.visits for k in kids) >= cfg.visit_budget
-    assert [k.index for k in kids] == list(range(cfg.k))
+    chosen, visits = expand(anchor, [], prior, cfg, seed=11)
+    assert chosen.shape == (cfg.k, anchor.size) and len(visits) == cfg.k
+    assert np.array_equal(chosen[-1], anchor)
+    assert all(v >= 1 for v in visits)
+    assert sum(visits) >= cfg.visit_budget
 
 
 def test_expand_matches_replayed_top_k(stack_task, prior):
-    # the children must equal an independently replayed draw-and-select
+    # the candidates must equal an independently replayed draw-and-select
     obs = la.reset(stack_task, 1)
     anchor = flatten_chunk(ExpertPolicy().propose(obs))
-    root = TreeNode(obs=obs, incoming_action=anchor)
     cfg = SearchConfig()
-    kids = expand(root, prior, cfg, seed=12)
+    chosen, _ = expand(anchor, [], prior, cfg, seed=12)
     rng_seed = derive_seed(12, "expand", 0)
     cands = sample(prior, cfg.pool_size, rng_seed, la.action_bounds(1))
-    chosen = top_k_near(cands, cfg.k, anchor)
-    chosen[-1] = anchor
-    for kid, expected in zip(kids, chosen):
-        assert np.array_equal(kid.incoming_action, expected)
+    expected = top_k_near(cands, cfg.k, anchor)
+    expected[-1] = anchor
+    assert chosen.tobytes() == expected.tobytes()
 
 
-def _noise_expand_reference(node, sigma, config, seed):
+def _noise_expand_reference(anchor, path, sigma, config, seed):
     """The noise expansion as its own sampler wrote it: Gaussian draws around the
     anchor, the nearest k with the anchor injected, weights from a one-point KDE."""
-    anchor = np.asarray(node.incoming_action, dtype=float)
     lo, hi = la.action_bounds(anchor.size // 4)
-    rng = np.random.default_rng(derive_seed(seed, "expand", node.depth, *node.path()))
+    rng = np.random.default_rng(derive_seed(seed, "expand", len(path), *path))
     cands = np.clip(anchor + rng.normal(0.0, sigma, size=(config.pool_size, anchor.size)), lo, hi)
     chosen = top_k_near(cands, config.k, anchor)
     chosen[-1] = anchor
@@ -164,54 +172,47 @@ def test_noise_expand_matches_the_reference_path(stack_task, demos, chunk_len, n
     for seed in range(6):
         obs = la.reset(stack_task, seed)
         anchor = flatten_chunk(ExpertPolicy(chunk_len=chunk_len).propose(obs))
-        root = TreeNode(obs=obs, incoming_action=anchor)
-        kids = expand(root, prior, cfg, seed)
-        child = kids[seed % cfg.k]  # a node below the root: its seed depends on its path
-        for node, got in ((root, kids), (child, expand(child, prior, cfg, seed))):
-            chosen, visits = _noise_expand_reference(node, sigma, cfg, seed)
-            assert np.array([k.incoming_action for k in got]).tobytes() == chosen.tobytes()
-            assert [k.visits for k in got] == visits
+        kids, _ = expand(anchor, [], prior, cfg, seed)
+        i = seed % cfg.k  # a node below the root: its seed depends on its path
+        for node_anchor, path in ((anchor, []), (kids[i], [i])):
+            chosen, visits = _noise_expand_reference(node_anchor, path, sigma, cfg, seed)
+            got, got_visits = expand(node_anchor, path, prior, cfg, seed)
+            assert got.tobytes() == chosen.tobytes()
+            assert got_visits == visits
 
 
 def test_expand_whole_pool_when_k_equals_pool(stack_task, prior):
     obs = la.reset(stack_task, 2)
     anchor = flatten_chunk(ExpertPolicy().propose(obs))
-    root = TreeNode(obs=obs, incoming_action=anchor)
     cfg = SearchConfig(k=16, pool_size=16, visit_budget=64)
-    kids = expand(root, prior, cfg, seed=13)
-    assert len(kids) == 16
-    dists = [float(np.linalg.norm(k.incoming_action - anchor)) for k in kids[:-1]]
+    chosen, _ = expand(anchor, [], prior, cfg, seed=13)
+    assert len(chosen) == 16
+    dists = [float(np.linalg.norm(row - anchor)) for row in chosen[:-1]]
     assert dists == sorted(dists)  # distance-sorted pool
-    assert np.array_equal(kids[-1].incoming_action, anchor)
+    assert np.array_equal(chosen[-1], anchor)
 
 
 def test_expand_degenerate_prior_concentrates_on_anchor(stack_task):
     obs = la.reset(stack_task, 3)
     anchor = flatten_chunk(ExpertPolicy().propose(obs))
     tight = KdePrior(points=anchor[None, :], bandwidth=1e-12)
-    root = TreeNode(obs=obs, incoming_action=anchor)
-    kids = expand(root, tight, SearchConfig(), seed=14)
-    for k in kids:
-        assert np.allclose(k.incoming_action, anchor, atol=1e-9)
+    chosen, _ = expand(anchor, [], tight, SearchConfig(), seed=14)
+    for row in chosen:
+        assert np.allclose(row, anchor, atol=1e-9)
 
 
-def test_expand_state_errors(stack_task, prior):
-    obs = la.reset(stack_task, 4)
-    anchor = flatten_chunk(ExpertPolicy().propose(obs))
-    root = TreeNode(obs=obs, incoming_action=anchor)
-    expand(root, prior, SearchConfig(), seed=15)
+def test_a_node_is_expanded_once():
+    tree = SearchTree(NO_ACTION)
+    first = tree.add_children(0, [NO_ACTION] * 2, [1, 1], [0.1, 0.2])
+    assert (first, tree.children[0]) == (1, range(1, 3))
     with pytest.raises(StateError):
-        expand(root, prior, SearchConfig(), seed=15)
-    bare = TreeNode(obs=obs)  # no incoming action to anchor on
-    with pytest.raises(StateError):
-        expand(bare, prior, SearchConfig(), seed=15)
+        tree.add_children(0, [NO_ACTION], [1], [0.3])
+    assert tree.parent == [-1, 0, 0] and tree.depth == [0, 1, 1]
 
 
-def test_expand_rejects_ragged_anchor(stack_task, prior):
-    obs = la.reset(stack_task, 5)
-    root = TreeNode(obs=obs, incoming_action=np.zeros(6))
+def test_expand_rejects_ragged_anchor(prior):
     with pytest.raises(ValueError):
-        expand(root, prior, SearchConfig(), seed=16)
+        expand(np.zeros(6), [], prior, SearchConfig(), seed=16)
 
 
 # --- simulate -------------------------------------------------------------
@@ -220,14 +221,11 @@ def test_expand_rejects_ragged_anchor(stack_task, prior):
 def test_simulate_zero_action_identity(stack_task):
     obs = la.reset(stack_task, 6)
     reward_fn = lambda o: float(o.gripper_pos[0])
-    root = TreeNode(obs=obs)
-    child = TreeNode(incoming_action=np.zeros(4), parent=root, depth=1)
-    r = simulate(child, la.step, reward_fn)
-    assert child.obs.gripper_pos == obs.gripper_pos
-    assert child.obs.objects == obs.objects
-    assert child.obs.step_index == obs.step_index + 1
+    (state,), (r,) = simulate(obs, [NO_ACTION], la.step, reward_fn)
+    assert state.gripper_pos == obs.gripper_pos
+    assert state.objects == obs.objects
+    assert state.step_index == obs.step_index + 1
     assert r == reward_fn(obs)
-    assert child.value == child.reward == r
 
 
 def test_simulate_rolls_chunks_sequentially(stack_task):
@@ -235,31 +233,27 @@ def test_simulate_rolls_chunks_sequentially(stack_task):
     a1 = la.Action((0.02, 0.0, -0.01), 0.0)
     a2 = la.Action((0.0, 0.03, 0.0), 1.0)
     vec = flatten_chunk(la.ActionChunk((a1, a2)))
-    root = TreeNode(obs=obs)
-    child = TreeNode(incoming_action=vec, parent=root, depth=1)
-    simulate(child, la.step, lambda o: 0.5)
-    assert child.obs == la.step(la.step(obs, a1), a2)
+    (state,), _ = simulate(obs, [vec.tolist()], la.step, lambda o: 0.5)
+    assert state == la.step(la.step(obs, a1), a2)
 
 
 def test_simulate_is_deterministic(stack_task):
     obs = la.reset(stack_task, 8)
     reward_fn = _goal_reward(obs, la.Action((0.01, 0.01, 0.0), 0.0))
-    vec = np.array([0.01, -0.02, 0.03, 0.7])
-    results = []
-    for _ in range(2):
-        child = TreeNode(incoming_action=vec, parent=TreeNode(obs=obs), depth=1)
-        simulate(child, la.step, reward_fn)
-        results.append((child.obs, child.reward))
-    assert results[0] == results[1]
+    vec = [0.01, -0.02, 0.03, 0.7]
+    assert simulate(obs, [vec], la.step, reward_fn) == simulate(obs, [vec], la.step, reward_fn)
 
 
-def test_simulate_requires_realized_parent():
-    child = TreeNode(incoming_action=np.zeros(4), parent=TreeNode(), depth=1)
-    with pytest.raises(StateError):
-        simulate(child, la.step, lambda o: 0.0)
-    orphan = TreeNode(incoming_action=np.zeros(4))
-    with pytest.raises(StateError):
-        simulate(orphan, la.step, lambda o: 0.0)
+def test_simulate_rolls_each_action_from_the_same_state(stack_task):
+    # one call over a level's actions gives what one call per action gives, in order
+    obs = la.reset(stack_task, 9)
+    reward_fn = _goal_reward(obs, la.Action((0.01, 0.02, 0.0), 0.0))
+    actions = _edge_vectors(np.random.default_rng(9), 2, 8).tolist()
+    states, rewards = simulate(obs, actions, la.step, reward_fn)
+    singles = [simulate(obs, [vals], la.step, reward_fn) for vals in actions]
+    assert states == [s[0][0] for s in singles]
+    assert rewards == [s[1][0] for s in singles]
+    assert simulate(obs, [], la.step, reward_fn) == ([], [])
 
 
 def _edge_vectors(rng, n_actions, count):
@@ -302,13 +296,12 @@ def test_simulate_matches_stepping_the_unflattened_chunk(stack_task, n_actions, 
         expected = parent
         for a in unflatten_chunk(vec, n_actions):
             expected = step(expected, a)
-        child = TreeNode(incoming_action=vec, parent=TreeNode(obs=parent), depth=1)
-        r = simulate(child, step, reward_fn)
-        assert child.obs == expected
-        assert child.obs.canonical_bytes() == expected.canonical_bytes()
-        assert r == child.reward == child.value == reward_fn(expected)
+        (state,), (r,) = simulate(parent, [vec.tolist()], step, reward_fn)
+        assert state == expected
+        assert state.canonical_bytes() == expected.canonical_bytes()
+        assert r == reward_fn(expected)
     if world == "exact":
-        assert child.obs.held_object == stack_task.kind.src  # the radius is inclusive
+        assert state.held_object == stack_task.kind.src  # the radius is inclusive
 
 
 @pytest.mark.parametrize("vec", [
@@ -320,9 +313,8 @@ def test_simulate_matches_stepping_the_unflattened_chunk(stack_task, n_actions, 
 def test_simulate_rejects_what_unflatten_chunk_rejects(stack_task, vec):
     with pytest.raises(ValueError):
         unflatten_chunk(vec, vec.size // 4)
-    child = TreeNode(incoming_action=vec, parent=TreeNode(obs=la.reset(stack_task, 0)), depth=1)
     with pytest.raises(ValueError):
-        simulate(child, la.step, lambda o: 0.0)
+        simulate(la.reset(stack_task, 0), [vec.tolist()], la.step, lambda o: 0.0)
 
 
 # --- backpropagate --------------------------------------------------------
@@ -331,88 +323,82 @@ def test_simulate_rejects_what_unflatten_chunk_rejects(stack_task, vec):
 def test_backprop_hand_example():
     # r=0.5 node whose single child holds Q=1.0 with count 2:
     # Q = (2*0.5 + 2*1.0) / 4 = 0.75
-    node = TreeNode(reward=0.5, visits=2)
-    leaf = TreeNode(reward=1.0, visits=2, parent=node, depth=1)
-    node.children = [leaf]
-    backpropagate(leaf)
-    assert node.value == 0.75
-    assert node.visits == 2
+    tree = SearchTree(NO_ACTION)
+    tree.add_children(0, [NO_ACTION], [1], [0.5])
+    tree.add_children(1, [NO_ACTION], [2], [1.0])
+    backpropagate(tree, 1)
+    assert tree.value[1] == 0.75
+    assert tree.visits[1] == 2
+    assert tree.visits[0] == 2 and tree.value[0] is None  # the root is not scored
 
 
 def test_backprop_leaf_value_is_reward():
-    leaf = TreeNode(reward=0.42)
-    assert leaf.value == 0.42  # no children: empty sum
+    tree = SearchTree(NO_ACTION)
+    tree.add_children(0, [NO_ACTION], [3], [0.42])
+    assert tree.value[1] == tree.reward[1] == 0.42  # no children: empty sum
 
 
 def test_backprop_random_trees_match_recomputation():
     rng = np.random.default_rng(17)
-    for _ in range(40):
-        root, leaves = _random_tree(rng)
+    for _ in range(100):
+        tree, leaves = _random_tree(rng)
         for leaf in leaves:  # depth-first order reaches the fixed point
-            backpropagate(leaf)
-
-        def check(node):
-            q, n = _recompute(node)
-            assert abs(node.value - q) <= 1e-12
-            assert node.visits == n
-            rs = _subtree_rewards(node)
-            assert min(rs) - 1e-12 <= node.value <= max(rs) + 1e-12
-            for ch in node.children:
-                check(ch)
-
-        check(root)
+            backpropagate(tree, tree.parent[leaf])
+        assert tree.visits[0] == sum(tree.visits[ch] for ch in tree.children[0])
+        assert tree.value[0] is None
+        for node in range(1, len(tree.parent)):
+            q, n = _recompute(tree, node)
+            assert abs(tree.value[node] - q) <= 1e-12
+            assert tree.visits[node] == n
+            rs = _subtree_rewards(tree, node)
+            assert min(rs) - 1e-12 <= tree.value[node] <= max(rs) + 1e-12
 
 
 def test_backprop_runs_to_root():
-    a = TreeNode(reward=0.1, visits=1)
-    b = TreeNode(reward=0.2, visits=3, parent=a, depth=1)
-    c = TreeNode(reward=0.9, visits=5, parent=b, depth=2)
-    a.children, b.children = [b], [c]
-    backpropagate(c)
+    tree = SearchTree(NO_ACTION)
+    tree.add_children(0, [NO_ACTION], [1], [0.1])  # a
+    tree.add_children(1, [NO_ACTION], [3], [0.2])  # b
+    tree.add_children(2, [NO_ACTION], [5], [0.9])  # c
+    backpropagate(tree, 2)
     # bottom-up: b first, then a, both from the backup equation
     qb = (5 * 0.2 + 5 * 0.9) / 10
     qa = (5 * 0.1 + 5 * qb) / 10
-    assert abs(b.value - qb) <= 1e-15
-    assert abs(a.value - qa) <= 1e-15
-    assert a.visits == b.visits == 5
+    assert abs(tree.value[2] - qb) <= 1e-15
+    assert abs(tree.value[1] - qa) <= 1e-15
+    assert tree.visits[:3] == [5, 5, 5]
 
 
-def _grow_levels(rng, depth, per_child_backup):
-    """A search-shaped tree: one expanded node per level, deepened by UCB.
-
-    Backs each level up either once per child (the reference loop) or once
-    after the level's last child.
-    """
-    root = TreeNode(reward=float(rng.uniform()))
-    node = root
+def _grow_levels(seed, depth):
+    """A search-shaped tree of random rewards and counts, one expanded node per
+    level, deepened by UCB: as a reference node tree backed up once per child,
+    and as a flat tree backed up once per level."""
+    rng = np.random.default_rng(seed)
+    root = ref.TreeNode(incoming_action=np.zeros(4), reward=float(rng.uniform()))
+    tree = SearchTree(NO_ACTION)
+    node, flat = root, 0
     for level in range(depth):
         k = int(rng.integers(1, 9))
-        node.children = [TreeNode(reward=float(rng.uniform(-1.0, 1.0)),
-                                  visits=int(rng.integers(1, 20)),
-                                  parent=node, depth=level + 1, index=i)
-                         for i in range(k)]
-        if per_child_backup:
-            for ch in node.children:
-                backpropagate(ch)
-        else:
-            backpropagate(node.children[-1])
-        node = select_ucb(node, 1.0 / math.sqrt(2.0))
-    return root
-
-
-def _flat(node):
-    out = [(node.value, node.visits)]
-    for ch in node.children:
-        out.extend(_flat(ch))
-    return out
+        rewards = [float(r) for r in rng.uniform(-1.0, 1.0, size=k)]
+        visits = [int(v) for v in rng.integers(1, 20, size=k)]
+        node.children = [ref.TreeNode(incoming_action=np.zeros(4), reward=r, visits=n,
+                                      parent=node, depth=level + 1, index=i)
+                         for i, (r, n) in enumerate(zip(rewards, visits))]
+        for ch in node.children:
+            ref.backpropagate(ch)
+        first = tree.add_children(flat, [NO_ACTION] * k, visits, rewards)
+        backpropagate(tree, flat)
+        node = ref.select_ucb(node, 1.0 / math.sqrt(2.0))
+        flat = select_ucb(tree, flat, 1.0 / math.sqrt(2.0))
+        assert flat - first == node.index
+    return ref.trace(root), SearchTrace.from_tree(tree)
 
 
 def test_one_backup_per_level_equals_the_per_child_loop():
     for trial in range(200):
-        depth = 1 + trial % 4
-        loop = _grow_levels(np.random.default_rng(trial), depth, per_child_backup=True)
-        once = _grow_levels(np.random.default_rng(trial), depth, per_child_backup=False)
-        assert _flat(once) == _flat(loop)  # exact floats, exact counts
+        loop, once = _grow_levels(trial, 1 + trial % 4)
+        assert once.nodes[0].visits == loop.nodes[0].visits
+        assert [(n.value, n.visits) for n in once.nodes[1:]] == \
+            [(n.value, n.visits) for n in loop.nodes[1:]]  # exact floats, exact counts
 
 
 # --- select_ucb -----------------------------------------------------------
@@ -421,45 +407,44 @@ def test_one_backup_per_level_equals_the_per_child_loop():
 def test_ucb_hand_example():
     # (Q=0.6, N=8) vs (Q=0.5, N=1) under parent N=9 at c=1/sqrt(2):
     # scores ~0.9494 and ~1.2412, so the lightly visited child wins
-    parent = TreeNode(reward=0.0, visits=9)
-    heavy = TreeNode(reward=0.6, visits=8, parent=parent, index=0)
-    light = TreeNode(reward=0.5, visits=1, parent=parent, index=1)
-    parent.children = [heavy, light]
+    tree = _one_level([0.6, 0.5], [8, 1])
+    backpropagate(tree, 1)
+    assert tree.visits[1] == 9
     c = 1 / math.sqrt(2)
     s_heavy = 0.6 + c * math.sqrt(math.log(9) / 9)
     s_light = 0.5 + c * math.sqrt(math.log(9) / 2)
     assert s_heavy == pytest.approx(0.9494, abs=1e-4)
     assert s_light == pytest.approx(1.2412, abs=1e-4)
-    assert select_ucb(parent, c) is light
+    assert select_ucb(tree, 1, c) == 3
+    # the engine's scores sit within 1e-9 of the hand formula at the decision boundary
+    flip = s_light - c * math.sqrt(math.log(9) / 9)
+    for nudge, heavy in ((1e-9, 2), (-1e-9, 3)):
+        tree = _one_level([flip + nudge, 0.5], [8, 1])
+        backpropagate(tree, 1)
+        assert select_ucb(tree, 1, c) == heavy
 
 
 def test_ucb_zero_c_is_greedy():
-    parent = TreeNode(reward=0.0, visits=10)
-    kids = [TreeNode(reward=q, visits=n, parent=parent, index=i)
-            for i, (q, n) in enumerate([(0.3, 1), (0.8, 50), (0.5, 2)])]
-    parent.children = kids
-    assert select_ucb(parent, 0.0) is kids[1]
+    tree = _one_level([0.3, 0.8, 0.5], [1, 50, 2])
+    backpropagate(tree, 1)
+    assert select_ucb(tree, 1, 0.0) == 3
 
 
 def test_ucb_equal_q_prefers_fewest_visits():
-    parent = TreeNode(reward=0.0, visits=12)
-    kids = [TreeNode(reward=0.5, visits=n, parent=parent, index=i)
-            for i, n in enumerate([6, 2, 4])]
-    parent.children = kids
-    assert select_ucb(parent, 1.0) is kids[1]
+    tree = _one_level([0.5, 0.5, 0.5], [6, 2, 4])
+    backpropagate(tree, 1)
+    assert select_ucb(tree, 1, 1.0) == 3
 
 
 def test_ucb_exact_tie_keeps_lowest_index():
-    parent = TreeNode(reward=0.0, visits=8)
-    kids = [TreeNode(reward=0.5, visits=4, parent=parent, index=i)
-            for i in range(3)]
-    parent.children = kids
-    assert select_ucb(parent, 0.7) is kids[0]
+    tree = _one_level([0.5, 0.5, 0.5], [4, 4, 4])
+    backpropagate(tree, 1)
+    assert select_ucb(tree, 1, 0.7) == 2
 
 
 def test_ucb_unexpanded_node_errors():
     with pytest.raises(StateError):
-        select_ucb(TreeNode(visits=3), 1.0)
+        select_ucb(SearchTree(NO_ACTION), 0, 1.0)
 
 
 # --- run_search -----------------------------------------------------------
@@ -523,6 +508,9 @@ def test_search_trace_satisfies_backup_equation(stack_task, prior, reward_model)
         total = sum(c.visits for c in ch)
         weighted = sum(c.visits * c.value for c in ch)
         assert n.visits == total
+        if n.parent is None:  # the root is not scored
+            assert n.reward is None and n.value is None
+            continue
         assert abs(n.value - (total * n.reward + weighted) / (2 * total)) <= 1e-12
 
 
@@ -550,7 +538,8 @@ def test_search_reward_shift_invariance(stack_task, prior):
     assert np.array_equal(r0.action, r1.action)
     for n0, n1 in zip(r0.trace.nodes, r1.trace.nodes):
         assert n0.action == n1.action
-        assert abs(n1.value - n0.value - 0.3) <= 1e-9
+        if n0.parent is not None:  # the root is not scored
+            assert abs(n1.value - n0.value - 0.3) <= 1e-9
 
 
 def test_search_dim_mismatch_rejected(stack_task, prior):
@@ -576,37 +565,48 @@ def test_search_value_bounded_by_subtree_rewards(stack_task, prior, reward_model
             out.extend(subtree(c.id))
         return out
 
-    for n in res.trace.nodes:
+    for n in res.trace.nodes[1:]:  # the root is not scored
         rs = subtree(n.id)
         assert min(rs) - 1e-12 <= n.value <= max(rs) + 1e-12
 
 
-def _eager_search(obs, chunk, prior, world, reward, config, seed):
-    """The search loop with one backup per child and an eagerly built trace."""
-    root = TreeNode(obs=obs, incoming_action=flatten_chunk(chunk), reward=float(reward(obs)))
-    node = root
-    for _ in range(config.max_depth):
-        for child in expand(node, prior, config, seed):
-            simulate(child, world, reward)
-            backpropagate(child)
-        node = select_ucb(node, config.c)
-    best = max(root.children, key=lambda ch: ch.value)
-    return best.incoming_action, SearchTrace.from_tree(root)
+def _recorded_searches(demos, reward_model, monkeypatch, sampler, chunk_len, epsilon, scorer):
+    """The arguments of every search one short reasoner episode makes."""
+    cfg = la.RunConfig(task=la.TaskSpec(kind=la.Stack(), horizon=12),
+                       policy=la.PolicyParams(chunk_len=chunk_len),
+                       search=SearchConfig(sampler=sampler, epsilon_model=epsilon))
+    chunk_prior = la.demo_prior(demos, chunk_len=chunk_len, bandwidth=cfg.prior_bandwidth)
+    if scorer == "learned":
+        reward_fn = lambda o: la.predict_reward(reward_model, o)  # noqa: E731
+    else:
+        reward_fn = la.FrameBankScorer(la.demo_reward_data(demos, cfg.reward_stride))
+    searches = []
+    search_fn = la.search.run_search
+    with monkeypatch.context() as m:
+        m.setattr(la.search, "run_search", lambda *args: searches.append(args) or search_fn(*args))
+        la.run_episode(cfg, 5, use_reasoner=True, prior=chunk_prior, reward_fn=reward_fn)
+    assert searches
+    return searches
 
 
+@pytest.mark.parametrize("scorer", ["learned", "frame-bank"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.02])
 @pytest.mark.parametrize("chunk_len", [1, 4])
-def test_search_matches_the_eager_per_child_loop(stack_task, demos, reward_model, chunk_len):
-    chunk_prior = la.demo_prior(demos, chunk_len=chunk_len, bandwidth=0.01)
-    pol = ExpertPolicy(chunk_len=chunk_len)
-    reward_fn = lambda o: la.predict_reward(reward_model, o)
-    for seed in range(6):
-        obs = la.reset(stack_task, seed)
-        chunk = pol.propose(obs)
-        cfg = SearchConfig(max_depth=1 + seed % 4)
-        action, trace = _eager_search(obs, chunk, chunk_prior, la.step, reward_fn, cfg, seed)
-        res = run_search(obs, chunk, chunk_prior, la.step, reward_fn, cfg, seed)
+@pytest.mark.parametrize("sampler", ["kde", "noise"])
+def test_search_matches_the_scalar_reference(demos, reward_model, monkeypatch, sampler,
+                                             chunk_len, epsilon, scorer):
+    # the node-object search, one backup per child, on recorded searches at depths 1 to 4:
+    # the same action bits and the same trace, but for the unscored root
+    searches = _recorded_searches(demos, reward_model, monkeypatch, sampler, chunk_len,
+                                  epsilon, scorer)
+    for i, (obs, chunk, prior, world, reward_fn, config, seed) in enumerate(searches):
+        config = dataclasses.replace(config, max_depth=1 + i % 4)
+        action, trace = ref.run_search(obs, chunk, prior, world, reward_fn, config, seed)
+        res = run_search(obs, chunk, prior, world, reward_fn, config, seed)
         assert res.action.tobytes() == action.tobytes()
-        assert res.trace.to_json() == trace.to_json()
+        root = dataclasses.replace(trace.nodes[0], reward=None, value=None)
+        assert res.trace == SearchTrace(nodes=(root, *trace.nodes[1:]))
+        assert res.trace.to_json() == SearchTrace(nodes=(root, *trace.nodes[1:])).to_json()
 
 
 @pytest.mark.parametrize("max_depth", [1, 3])
@@ -615,7 +615,7 @@ def test_search_selects_only_the_nodes_it_deepens(stack_task, prior, reward_mode
     picks = []
     select_fn = la.search.select_ucb
     monkeypatch.setattr(la.search, "select_ucb",
-                        lambda node, c: picks.append(node) or select_fn(node, c))
+                        lambda tree, node, c: picks.append(node) or select_fn(tree, node, c))
     obs = la.reset(stack_task, 54)
     reward_fn = lambda o: la.predict_reward(reward_model, o)
     run_search(obs, ExpertPolicy().propose(obs), prior, la.step, reward_fn,
@@ -627,9 +627,9 @@ def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model,
     built = []
     eager = SearchTrace.from_tree.__func__
 
-    def spy(cls, root):
-        built.append(root)
-        return eager(cls, root)
+    def spy(cls, tree):
+        built.append(tree)
+        return eager(cls, tree)
 
     monkeypatch.setattr(SearchTrace, "from_tree", classmethod(spy))
     obs = la.reset(stack_task, 52)
@@ -640,7 +640,7 @@ def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model,
     res = run_search(obs, pol.propose(obs), prior, la.step, reward_fn, SearchConfig(), seed=53)
     assert built == []  # acting and searching never flatten the tree
     first = res.trace
-    assert built == [res.root]
+    assert built == [res.tree]
     assert res.trace is first  # cached after the first read
     assert len(built) == 1
 

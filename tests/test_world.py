@@ -15,12 +15,79 @@ from lookahead.world import (
     GRASP_RADIUS,
     HOME_POSE,
     OBJECT_HALF_SIZE,
+    Observation,
     ObjectState,
+    _resettle_free,
+    _Z_ATOL,
     feature_length,
     render_features,
-    validate_observation,
     waypoint_positions,
 )
+
+
+def validate_observation(obs: Observation) -> None:
+    """Raise if a state violates the world's structural invariants.
+
+    The interpenetration check covers free objects only: a held object is
+    attached to the gripper, not resting, and the world has no collision
+    dynamics for it.
+    """
+    for v in obs.gripper_pos:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError("gripper outside the workspace")
+    for o in obs.objects:
+        for v in o.pos:
+            if not 0.0 <= v <= 1.0:
+                raise ValueError("object outside the workspace")
+    if obs.held_object is not None:
+        if not obs.grip_closed:
+            raise ValueError("held object requires a closed grip")
+        if obs.objects[obs.held_object].pos != obs.gripper_pos:
+            raise ValueError("held object must ride the gripper")
+    tol = obs.task.tolerance
+    for i, o in enumerate(obs.objects):
+        if i == obs.held_object:
+            continue
+        # resting height: table, or the top of some block within tolerance
+        ok = abs(o.pos[2] - o.half_size) <= _Z_ATOL
+        for j, other in enumerate(obs.objects):
+            if ok or j == i:
+                continue
+            horiz = math.hypot(other.pos[0] - o.pos[0], other.pos[1] - o.pos[1])
+            if horiz <= tol and abs(o.pos[2] - (other.pos[2] + other.half_size + o.half_size)) <= _Z_ATOL:
+                ok = True
+        if not ok:
+            raise ValueError(f"object {i} is not resting on a support")
+    free = [i for i in range(len(obs.objects)) if i != obs.held_object]
+    for a_i in range(len(free)):
+        for b_i in range(a_i + 1, len(free)):
+            a, b = obs.objects[free[a_i]], obs.objects[free[b_i]]
+            lim = a.half_size + b.half_size - 1e-6
+            horiz = math.hypot(a.pos[0] - b.pos[0], a.pos[1] - b.pos[1])
+            if horiz < lim and abs(a.pos[2] - b.pos[2]) < lim:
+                raise ValueError(f"objects {free[a_i]} and {free[b_i]} interpenetrate")
+
+
+def _imperfect_step_reference(obs, action, epsilon, model_seed):
+    """``imperfect_step`` as first written: a full ``step``, then its perturbed copy."""
+    base = la.step(obs, action)
+    if epsilon == 0.0:
+        return base
+    key = la.derive_seed("model", obs.canonical_bytes(),
+                         struct.pack(">4d", *action.delta, action.grip), model_seed)
+    off = np.random.default_rng(key).uniform(-epsilon, epsilon,
+                                             size=3 + 3 * len(base.objects)).tolist()
+    clip = lambda v: min(1.0, max(0.0, v))  # noqa: E731
+    gp = tuple(clip(base.gripper_pos[i] + off[i]) for i in range(3))
+    objects = []
+    for i, o in enumerate(base.objects):
+        if i == base.held_object:
+            objects.append(ObjectState(gp, o.half_size))
+            continue
+        objects.append(ObjectState(tuple(clip(o.pos[d] + off[3 + 3 * i + d]) for d in range(3)),
+                                   o.half_size))
+    objects = _resettle_free(objects, base.held_object, obs.task.tolerance)
+    return dataclasses.replace(base, gripper_pos=gp, objects=tuple(objects))
 
 
 def _grasp_src(obs):
@@ -228,6 +295,24 @@ def test_imperfect_step_zero_epsilon_is_exact(stack_task):
         obs = la.reset(stack_task, int(rng.integers(0, 500)))
         a = la.Action(tuple(rng.uniform(-0.05, 0.05, 3)), float(rng.uniform(0, 1)))
         assert la.imperfect_step(obs, a, 0.0, 123) == la.step(obs, a)
+
+
+@pytest.mark.parametrize("kind", [la.Stack(), la.PickPlace(), la.FollowCircle()])
+def test_imperfect_step_matches_the_full_step_reference(kind):
+    # random walks that grasp, carry and release: every transition equal in bits
+    task = la.TaskSpec(kind=kind)
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        obs = la.reset(task, trial)
+        if trial % 2 and obs.objects:  # start on the first block, so a close picks it up
+            obs = dataclasses.replace(obs, gripper_pos=obs.objects[0].pos)
+        for t in range(12):
+            a = la.Action(tuple(rng.uniform(-0.05, 0.05, 3)), float(t % 4 < 2))
+            eps = (0.0, 0.005, 0.02, 0.05)[(trial + t) % 4]
+            got = la.imperfect_step(obs, a, eps, trial)
+            want = _imperfect_step_reference(obs, a, eps, trial)
+            assert got == want and got.canonical_bytes() == want.canonical_bytes()
+            obs = got
 
 
 def test_imperfect_step_determinism(stack_task):
