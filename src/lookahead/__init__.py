@@ -36,7 +36,7 @@ from .bench import (
     sweep_alpha,
     sweep_model_error,
 )
-from .errors import DataError, StateError
+from .errors import DataError
 from .kde import (
     KdePrior,
     density,
@@ -47,7 +47,7 @@ from .kde import (
     top_k_near,
     weights_from_densities,
 )
-from .policies import DriftPolicy, ExpertPolicy, expert_action
+from .policies import DriftPolicy, expert_action
 from .records import EpisodeResult, Trajectory, action_matrix, read_trajectories, write_trajectories
 from .reward import (
     FrameBankScorer,

@@ -47,17 +47,6 @@ class Action:
     def grip_closed(self) -> bool:
         return self.grip >= GRIP_THRESHOLD
 
-    def to_vector(self) -> np.ndarray:
-        return np.array([*self.delta, self.grip], dtype=float)
-
-    @classmethod
-    def from_vector(cls, vec: Sequence[float] | np.ndarray) -> "Action":
-        arr = np.asarray(vec, dtype=float)
-        if arr.shape != (ACTION_DIM,):
-            raise ValueError(f"expected a {ACTION_DIM}-vector, got shape {arr.shape}")
-        dx, dy, dz, grip = arr.tolist()
-        return cls(delta=(dx, dy, dz), grip=grip)
-
     @staticmethod
     def zero(grip: float = 0.0) -> "Action":
         return Action((0.0, 0.0, 0.0), grip)

@@ -30,7 +30,7 @@ from .bench import (
     sweep_model_error,
     write_report,
 )
-from .errors import DataError, StateError
+from .errors import DataError
 from .kde import load_prior, save_prior
 from .records import Trajectory
 from .reward import load_model, save_model
@@ -155,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         write_report(report, out / f"{stem}.json", out / f"{stem}.csv")
         print(_summary(report))
         return 0
-    except (DataError, StateError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -11,10 +11,6 @@ class DataError(ValueError):
     """A dataset is empty, too small, or internally inconsistent."""
 
 
-class StateError(RuntimeError):
-    """An operation was applied to an object in the wrong state."""
-
-
 def is_number(value: object) -> bool:
     # a bool is neither; JSON NaN and Infinity parse to floats and an integer beyond
     # the float range has no float, so no setting takes them

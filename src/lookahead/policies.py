@@ -9,7 +9,6 @@ models a miscalibrated imitation policy whose error compounds over a rollout.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .actions import Action, ActionChunk, DELTA_BOUND, MAX_CHUNK_LEN
 from .seeding import rng_from
@@ -73,34 +72,6 @@ def expert_action(obs: Observation) -> Action:
     return Action.zero(grip=0.0)  # release; the block settles onto its support
 
 
-def _open_loop(obs: Observation, chunk_len: int,
-               act: Callable[[Observation], Action]) -> ActionChunk:
-    """``chunk_len`` actions from ``act``, stepping the exact world between them."""
-    actions = []
-    cur = obs
-    for i in range(chunk_len):
-        a = act(cur)
-        actions.append(a)
-        if i + 1 < chunk_len:
-            cur = step(cur, a)
-    return ActionChunk(tuple(actions))
-
-
-class ExpertPolicy:
-    """Stateless scripted controller; chunks are rolled out open loop."""
-
-    def __init__(self, chunk_len: int = 1):
-        if not 1 <= chunk_len <= MAX_CHUNK_LEN:
-            raise ValueError(f"chunk_len must be in [1, {MAX_CHUNK_LEN}]")
-        self.chunk_len = chunk_len
-
-    def reset(self, episode_seed: int) -> None:
-        pass  # nothing to reset
-
-    def propose(self, obs: Observation) -> ActionChunk:
-        return _open_loop(obs, self.chunk_len, expert_action)
-
-
 class DriftPolicy:
     """Expert actions corrupted by accumulated bias plus Gaussian noise.
 
@@ -126,7 +97,14 @@ class DriftPolicy:
         self._rng = rng_from("drift", 0, episode_seed)
 
     def propose(self, obs: Observation) -> ActionChunk:
-        return _open_loop(obs, self.chunk_len, self._drift_action)
+        """``chunk_len`` drift actions rolled out open loop: the exact world steps between them."""
+        actions = []
+        for i in range(self.chunk_len):
+            a = self._drift_action(obs)
+            actions.append(a)
+            if i + 1 < self.chunk_len:
+                obs = step(obs, a)
+        return ActionChunk(tuple(actions))
 
     def _drift_action(self, obs: Observation) -> Action:
         base = expert_action(obs)

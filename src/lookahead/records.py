@@ -153,7 +153,7 @@ def action_matrix(trajectories: Iterable[Trajectory], chunk_len: int = 1) -> np.
     for traj in trajectories:
         acts = traj.actions
         for i in range(0, len(acts) - chunk_len + 1, chunk_len):
-            rows.append(np.concatenate([a.to_vector() for a in acts[i:i + chunk_len]]))
+            rows.append([v for a in acts[i:i + chunk_len] for v in (*a.delta, a.grip)])
     if not rows:
         raise DataError("no complete chunks in the demo set")
-    return np.stack(rows)
+    return np.array(rows)

@@ -1,14 +1,15 @@
 """Tree search over a world-model interface, guided by a density prior.
 
-One search builds a shallow tree below the current state, one level at a
-time: it expands the selected node with the k prior samples nearest its
-incoming action (the policy proposal always stays a candidate), rolls each
-child through the world model, scores it with the reward head and backs the
-values up; UCB then picks the node to deepen. The returned action is the root
-child with the best backed-up value, which the caller blends into the policy's
-proposal with weight 1 - alpha. The tree is a ``SearchTree`` of flat per-node
-lists, with no object per node; its root is never scored. ``SearchResult.trace``
-flattens it on first read, so acting on the result alone never builds it.
+One search descends from the current state one level at a time: it expands
+the picked node with the k prior samples nearest its incoming action (the
+policy proposal always stays a candidate), rolls each child through the world
+model and scores it with the reward head; UCB then picks the child to deepen.
+After the last level one backup folds the values up the path, and the
+returned action is the root child with the best backed-up value, which the
+caller blends into the policy's proposal with weight 1 - alpha. The tree is a
+``SearchTree``: the chosen path and, per level, the children as flat lists;
+its root is never scored. ``SearchResult.trace`` flattens it on first read,
+so acting on the result alone never builds it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .actions import (
     split_actions,
     unflatten_chunk,
 )
-from .errors import StateError, require_types
+from .errors import require_types
 from .kde import KdePrior, sample, top_k_near, weights_from_densities, density
 from .seeding import derive_seed
 from .world import Observation
@@ -85,43 +86,24 @@ class SearchConfig:
         return dataclasses.asdict(self)
 
 
-_LEAF = range(0)  # the children of a node that was not expanded
-
-
+@dataclasses.dataclass
 class SearchTree:
-    """The nodes of one search as flat per-node lists; node 0 is the root.
+    """One search's tree, which is a path: below the root action, one level of k
+    children per depth, each level expanded from the child that ``path`` picked
+    in the level above.
 
-    An expansion appends all of a node's children at once, so ``children[i]``
-    is a range of ids. Actions are lists of Python floats. The root is not
-    scored: its reward and value stay None.
+    ``actions[d]``, ``rewards[d]``, ``visits[d]`` and ``values[d]`` are level d's
+    flat lists in expansion order, the actions as lists of Python floats;
+    ``path[d]`` indexes level d, and the last level has no pick. The root is not
+    scored, and its count is the sum of the first level's.
     """
 
-    __slots__ = ("parent", "action", "reward", "value", "visits", "depth", "children")
-
-    def __init__(self, action: list[float]):
-        self.parent: list[int] = [-1]
-        self.action: list[list[float]] = [action]
-        self.reward: list[float | None] = [None]
-        self.value: list[float | None] = [None]
-        self.visits: list[int] = [0]
-        self.depth: list[int] = [0]
-        self.children: list[range] = [_LEAF]
-
-    def add_children(self, node: int, actions: list[list[float]], visits: list[int],
-                     rewards: list[float]) -> int:
-        """Append the children of ``node``, which must be unexpanded; returns the first one's id."""
-        if self.children[node]:
-            raise StateError("node is already expanded")
-        first, k = len(self.parent), len(actions)
-        self.children[node] = range(first, first + k)
-        self.parent += [node] * k
-        self.action += actions
-        self.reward += rewards
-        self.value += rewards  # a leaf's value is its own reward
-        self.visits += visits
-        self.depth += [self.depth[node] + 1] * k
-        self.children += [_LEAF] * k
-        return first
+    action: list[float]
+    path: list[int] = dataclasses.field(default_factory=list)
+    actions: list[list[list[float]]] = dataclasses.field(default_factory=list)
+    rewards: list[list[float]] = dataclasses.field(default_factory=list)
+    visits: list[list[int]] = dataclasses.field(default_factory=list)
+    values: list[list[float]] = dataclasses.field(default_factory=list)
 
 
 def expand(anchor: np.ndarray, path: list[int], prior: KdePrior, config: SearchConfig,
@@ -165,43 +147,36 @@ def simulate(obs: Observation, actions: list[list[float]], world: WorldModel,
     return states, rewards
 
 
-def backpropagate(tree: SearchTree, node: int) -> None:
-    """Recompute counts and values from the children, at ``node`` and up to the root.
+def backpropagate(tree: SearchTree) -> None:
+    """Fold the backup up the path, from the deepest level to the root's children.
 
-    Each node's count becomes the sum of its children's counts, and its value
-    the count-weighted mix of its own reward with the children's values:
+    Each picked node's count becomes the sum of its children's counts, and its
+    value the count-weighted mix of its own reward with the children's values:
 
         N(o) = sum_j N(o_j)
         Q(o) = (N(o) * r + sum_j N(o_j) * Q(o_j)) / (N(o) + sum_j N(o_j))
 
-    The unscored root gets its count only.
+    Every other node is a leaf, whose count is its own and whose value is its reward.
     """
-    parent, children, reward, value, visits = (tree.parent, tree.children, tree.reward,
-                                               tree.value, tree.visits)
-    while node >= 0:
-        child_visits = 0
+    for d in range(len(tree.path) - 1, -1, -1):
+        i = tree.path[d]
+        total = 0
         weighted = 0.0
-        for j in children[node]:
-            child_visits += visits[j]
-            weighted += visits[j] * value[j]
-        visits[node] = child_visits
-        r = reward[node]
-        if r is not None:
-            value[node] = (child_visits * r + weighted) / (child_visits + child_visits)
-        node = parent[node]
+        for n, q in zip(tree.visits[d + 1], tree.values[d + 1]):
+            total += n
+            weighted += n * q
+        tree.visits[d][i] = total
+        tree.values[d][i] = (total * tree.rewards[d][i] + weighted) / (total + total)
 
 
-def select_ucb(tree: SearchTree, node: int, c: float) -> int:
-    """The child maximizing Q + c * sqrt(ln N(parent) / (1 + N(child)))."""
-    kids = tree.children[node]
-    if not kids:
-        raise StateError("cannot select from an unexpanded node")
-    value, visits = tree.value, tree.visits
-    log_n = math.log(visits[node])
-    best = kids[0]
+def select_ucb(values: list[float], visits: list[int], c: float) -> int:
+    """The index of the child maximizing Q + c * sqrt(ln N(parent) / (1 + N(child))),
+    over one level's values and counts; N(parent) is the sum of the counts."""
+    log_n = math.log(sum(visits))
+    best = 0
     best_score = -math.inf
-    for j in kids:
-        score = value[j] + c * math.sqrt(log_n / (1 + visits[j]))
+    for j, (q, n) in enumerate(zip(values, visits)):
+        score = q + c * math.sqrt(log_n / (1 + n))
         if score > best_score:  # strict: ties keep the lowest index
             best, best_score = j, score
     return best
@@ -226,17 +201,19 @@ class SearchTrace:
 
     @classmethod
     def from_tree(cls, tree: SearchTree) -> "SearchTrace":
-        nodes: list[TraceNode] = []
+        nodes = [TraceNode(id=0, parent=None, action=tuple(tree.action), reward=None,
+                           value=None, visits=sum(tree.visits[0]), depth=0)]
 
-        def visit(i: int, parent_id: int | None) -> None:
-            nid = len(nodes)
-            nodes.append(TraceNode(id=nid, parent=parent_id, action=tuple(tree.action[i]),
-                                   reward=tree.reward[i], value=tree.value[i],
-                                   visits=tree.visits[i], depth=tree.depth[i]))
-            for ch in tree.children[i]:
-                visit(ch, nid)
+        def visit(d: int, parent_id: int) -> None:
+            for j, action in enumerate(tree.actions[d]):
+                nid = len(nodes)
+                nodes.append(TraceNode(id=nid, parent=parent_id, action=tuple(action),
+                                       reward=tree.rewards[d][j], value=tree.values[d][j],
+                                       visits=tree.visits[d][j], depth=d + 1))
+                if d < len(tree.path) and j == tree.path[d]:
+                    visit(d + 1, nid)
 
-        visit(0, None)
+        visit(0, 0)
         return cls(nodes=tuple(nodes))
 
     def to_json(self) -> str:
@@ -269,33 +246,35 @@ def run_search(
     config: SearchConfig,
     seed: int,
 ) -> SearchResult:
-    """One search pass: expand/simulate/backpropagate once per depth level.
+    """One search pass: expand and simulate one level per depth, then back up once.
 
-    The level's single backup runs after its last simulation: backpropagate
-    recomputes every ancestor from its children's current values, so one call
-    over the fully simulated level gives exactly what one call per child did.
-    The rollout rule returns the root child with maximal value, which either
-    confirms the policy proposal (the anchor is always a root candidate) or
-    overrides it with a nearby action whose lookahead scored better.
+    UCB picks the child to deepen from the level's fresh leaves, whose values
+    are their rewards, so one backup after the last level gives exactly what a
+    backup after every child did. The rollout rule returns the root child with
+    maximal value, which either confirms the policy proposal (the anchor is
+    always a root candidate) or overrides it with a nearby action whose
+    lookahead scored better.
     """
     anchor = flatten_chunk(proposal_chunk)
     if prior.dim != anchor.size:
         raise ValueError(f"prior dimension {prior.dim} does not match the proposal length {anchor.size}")
     tree = SearchTree(anchor.tolist())
-    node, path = 0, []
     for level in range(1, config.max_depth + 1):
-        chosen, visits = expand(anchor, path, prior, config, seed)
+        chosen, visits = expand(anchor, tree.path, prior, config, seed)
         actions = chosen.tolist()
         states, rewards = simulate(obs, actions, world, reward)
-        first = tree.add_children(node, actions, visits, rewards)
-        backpropagate(tree, node)
+        tree.actions.append(actions)
+        tree.rewards.append(rewards)
+        tree.visits.append(visits)
+        tree.values.append(rewards[:])  # a leaf's value is its own reward
         if level < config.max_depth:  # the last level's pick would go unread
-            node = select_ucb(tree, node, config.c)
-            i = node - first
-            path.append(i)
+            i = select_ucb(tree.values[-1], visits, config.c)
+            tree.path.append(i)
             obs, anchor = states[i], chosen[i]
-    best = max(tree.children[0], key=tree.value.__getitem__)  # ties keep the lowest index
-    return SearchResult(action=np.array(tree.action[best]), tree=tree)
+    backpropagate(tree)
+    roots = tree.values[0]
+    best = max(range(len(roots)), key=roots.__getitem__)  # ties keep the lowest index
+    return SearchResult(action=np.array(tree.actions[0][best]), tree=tree)
 
 
 def act(

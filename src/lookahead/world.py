@@ -124,16 +124,20 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TaskSpec":
-        """Parse ``to_dict``'s form; a key the task kind does not have is a ValueError naming both."""
+        """Parse ``to_dict``'s form. A missing or unknown kind, or a key the task
+        kind does not have, is a ValueError naming it; only a list becomes a
+        tuple, so any other value reaches ``require_types`` as read."""
+        if "kind" not in doc:
+            raise ValueError("missing key 'kind' in the task")
         kind_id = doc["kind"]
-        kind_cls = _ID_KINDS.get(kind_id)
+        kind_cls = _ID_KINDS.get(kind_id) if type(kind_id) is str else None
         if kind_cls is None:
             raise ValueError(f"unknown task kind {kind_id!r}")
         fields = _KIND_FIELDS[kind_cls]
         kind_args, spec_args = {}, {}
         for key, value in doc.items():
             if key in fields:
-                kind_args[key] = tuple(value) if fields[key] else value
+                kind_args[key] = tuple(value) if fields[key] and type(value) is list else value
             elif key in ("horizon", "tolerance"):
                 spec_args[key] = value
             elif key != "kind":

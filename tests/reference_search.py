@@ -14,10 +14,13 @@ import math
 import numpy as np
 
 from lookahead.actions import ACTION_DIM, action_bounds, flatten_chunk, split_actions
-from lookahead.errors import StateError
 from lookahead.kde import KdePrior, density, sample, top_k_near, weights_from_densities
 from lookahead.search import SearchTrace, TraceNode
 from lookahead.seeding import derive_seed
+
+
+class StateError(RuntimeError):
+    """An operation was applied to a node in the wrong state."""
 
 
 class TreeNode:

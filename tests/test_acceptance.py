@@ -18,9 +18,10 @@ import scipy.optimize
 import scipy.stats
 
 import lookahead as la
+from expert import ExpertPolicy
 from lookahead.actions import flatten_chunk, unflatten_chunk
 from lookahead.kde import density, fit_kde, sample, top_k_near
-from lookahead.policies import DriftPolicy, ExpertPolicy, expert_action
+from lookahead.policies import DriftPolicy, expert_action
 from lookahead.reward import FrameBankScorer, LabeledFrame, fit_reward, label_progress
 from lookahead.search import SearchConfig, SearchTree, backpropagate, run_search, select_ucb
 from lookahead.seeding import derive_seed
@@ -40,42 +41,32 @@ def benchmark_report(run_config, prior, reward_model):
 NO_ACTION = [0.0, 0.0, 0.0, 0.0]
 
 
+def _tree(path, rewards, visits):
+    """A search tree with the given path and per-level rewards and counts, not yet backed up."""
+    return SearchTree(NO_ACTION, list(path), [[NO_ACTION] * len(r) for r in rewards],
+                      [list(r) for r in rewards], [list(n) for n in visits],
+                      [list(r) for r in rewards])
+
+
 def _random_tree(rng, max_depth=4):
-    """A random tree whose top node is node 1, below the search's unscored
-    root, and its leaves in depth-first order."""
-
-    def grow(depth):
-        if depth == max_depth or (depth > 0 and rng.uniform() < 0.3):
-            return []
-        return [(float(rng.uniform()), int(rng.integers(1, 6)), grow(depth + 1))
-                for _ in range(int(rng.integers(1, 5)))]
-
-    tree = SearchTree(NO_ACTION)
-    tree.add_children(0, [NO_ACTION], [0], [float(rng.uniform())])
-    leaves = []
-
-    def lay_out(node, kids):
-        if not kids:
-            leaves.append(node)
-            return
-        first = tree.add_children(node, [NO_ACTION] * len(kids),
-                                  [n for _, n, _ in kids], [r for r, _, _ in kids])
-        for i, (_, _, sub) in enumerate(kids):
-            lay_out(first + i, sub)
-
-    lay_out(1, grow(0))
-    return tree, leaves
+    """A random search-shaped tree: 1 to ``max_depth`` levels of 1 to 4 children,
+    a random path, counts 1 to 5 and rewards drawn from U[0, 1]."""
+    ks = [int(k) for k in rng.integers(1, 5, size=int(rng.integers(1, max_depth + 1)))]
+    rewards = [[float(r) for r in rng.uniform(size=k)] for k in ks]
+    visits = [[int(n) for n in rng.integers(1, 6, size=k)] for k in ks]
+    return _tree([int(rng.integers(0, k)) for k in ks[:-1]], rewards, visits)
 
 
-def _recompute(tree, node):
-    if not tree.children[node]:
-        return tree.value[node], tree.visits[node]
+def _recompute(tree, d, j):
+    """The backup equation at child j of level d, evaluated bottom-up from the leaves."""
+    if d == len(tree.path) or j != tree.path[d]:
+        return tree.rewards[d][j], tree.visits[d][j]
     total, weighted = 0, 0.0
-    for ch in tree.children[node]:
-        q, n = _recompute(tree, ch)
+    for ch in range(len(tree.rewards[d + 1])):
+        q, n = _recompute(tree, d + 1, ch)
         total += n
         weighted += n * q
-    return (total * tree.reward[node] + weighted) / (total + total), total
+    return (total * tree.rewards[d][j] + weighted) / (total + total), total
 
 
 # --- criterion 1 ------------------------------------------------------------
@@ -100,11 +91,9 @@ def test_criterion_1_equation_exactness():
     assert abs(density(two, np.array([0.0])) - 0.24197072451914337) < 1e-9
 
     # backup equation: r=0.5 with one child (Q=1.0, N=2) -> 0.75
-    tree = SearchTree(NO_ACTION)
-    tree.add_children(0, [NO_ACTION], [2], [0.5])
-    tree.add_children(1, [NO_ACTION], [2], [1.0])
-    backpropagate(tree, 1)
-    assert abs(tree.value[1] - 0.75) < 1e-9
+    tree = _tree([0], [[0.5], [1.0]], [[2], [2]])
+    backpropagate(tree)
+    assert abs(tree.values[0][0] - 0.75) < 1e-9
 
     # selection rule: the engine's scores must sit within 1e-9 of the hand
     # formula, probed at the decision boundary between two children
@@ -112,27 +101,19 @@ def test_criterion_1_equation_exactness():
     s_light = 0.5 + c * math.sqrt(math.log(9) / 2)
     flip = s_light - c * math.sqrt(math.log(9) / 9)
     for nudge, expect_heavy in ((1e-9, True), (-1e-9, False)):
-        tree = SearchTree(NO_ACTION)
-        tree.add_children(0, [NO_ACTION], [9], [0.0])
-        heavy = tree.add_children(1, [NO_ACTION] * 2, [8, 1], [flip + nudge, 0.5])
-        assert (select_ucb(tree, 1, c) == heavy) == expect_heavy
+        assert (select_ucb([flip + nudge, 0.5], [8, 1], c) == 0) == expect_heavy
 
     # whole-tree recomputation over 100 random trees at 1e-12
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(100):
-        tree, leaves = _random_tree(rng)
-        for lf in leaves:
-            backpropagate(tree, tree.parent[lf])
-        stack = [1]
-        while stack:
-            n = stack.pop()
-            if tree.children[n]:
-                q, cnt = _recompute(tree, n)
-                worst = max(worst, abs(tree.value[n] - q))
-                assert abs(tree.value[n] - q) <= 1e-12
-                assert tree.visits[n] == cnt
-                stack.extend(tree.children[n])
+        tree = _random_tree(rng)
+        backpropagate(tree)
+        for d, i in enumerate(tree.path):
+            q, cnt = _recompute(tree, d, i)
+            worst = max(worst, abs(tree.values[d][i] - q))
+            assert abs(tree.values[d][i] - q) <= 1e-12
+            assert tree.visits[d][i] == cnt
 
     dt = time.perf_counter() - t0
     print(f"\ncriterion 1: worst tree residual {worst:.2e}, {dt:.2f}s")

@@ -85,7 +85,7 @@ def test_grip_threshold():
 
 def test_vector_round_trip():
     a = Action((0.01, -0.02, 0.03), 0.7)
-    assert Action.from_vector(a.to_vector()) == a
+    assert unflatten_chunk(flatten_chunk(ActionChunk((a,))), 1) == ActionChunk((a,))
 
 
 def test_blend_alpha_one_returns_proposal_exactly():
@@ -129,7 +129,8 @@ def test_blend_equals_the_clipped_array_form_bit_for_bit(alpha):
     for _ in range(4000):
         p = Action(tuple(rng.choice(deltas, 3).tolist()), float(rng.choice(grips)))
         s = Action(tuple(rng.choice(deltas, 3).tolist()), float(rng.choice(grips)))
-        want = np.clip(alpha * p.to_vector() + (1 - alpha) * s.to_vector(), lo, hi)
+        want = np.clip(alpha * flatten_chunk(ActionChunk((p,)))
+                       + (1 - alpha) * flatten_chunk(ActionChunk((s,))), lo, hi)
         got = blend_actions(p, s, alpha)
         assert np.array([*got.delta, got.grip]).tobytes() == want.tobytes()
 
@@ -163,8 +164,7 @@ def test_flatten_ordering_and_round_trip():
     chunk = ActionChunk((a, b))
     flat = flatten_chunk(chunk)
     assert flat.shape == (8,)
-    assert np.array_equal(flat[:4], a.to_vector())
-    assert np.array_equal(flat[4:], b.to_vector())
+    assert flat.tolist() == [*a.delta, a.grip, *b.delta, b.grip]
     assert unflatten_chunk(flat, 2) == chunk
 
     rng = np.random.default_rng(3)
@@ -221,6 +221,6 @@ def test_unflatten_keeps_exact_values_and_validation():
         with pytest.raises(ValueError):
             unflatten_chunk(vec, 2)
         with pytest.raises(ValueError):
-            Action.from_vector(vec[4 * (i // 4):4 * (i // 4) + 4])
+            unflatten_chunk(vec[4 * (i // 4):4 * (i // 4) + 4], 1)
     with pytest.raises(ValueError):
         unflatten_chunk(good, 3)

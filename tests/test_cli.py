@@ -183,6 +183,23 @@ def test_unknown_config_keys_exit_two(tmp_path, monkeypatch, capsys, doc, named)
     assert episodes == []
 
 
+@pytest.mark.parametrize("task, named", [
+    ({"horizon": 50}, "missing key 'kind' in the task"),
+    ({"kind": ["stack"]}, "unknown task kind ['stack']"),
+    ({"kind": "pick-place", "zone_center": 5}, "zone_center must be a list of 3 numbers, got 5"),
+    ({"kind": "pick-place", "zone_center": "abc"},
+     "zone_center must be a list of 3 numbers, got 'abc'"),
+])
+def test_bad_task_section_exits_two_naming_it(tmp_path, capsys, task, named):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY, task=task)), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"invalid config: {named}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, sweeps", [
     ("sweep-alpha", {"alphas": [0.0, 1.5]}),
     ("sweep-model-error", {"epsilons": [0.0, -0.1]}),

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import lookahead as la
+from expert import ExpertPolicy
 from lookahead.actions import DELTA_BOUND
-from lookahead.policies import DriftPolicy, ExpertPolicy, _move_toward, expert_action
+from lookahead.policies import DriftPolicy, _move_toward, expert_action
 from lookahead.seeding import rng_from
 from lookahead.world import waypoint_positions
 
@@ -77,18 +78,11 @@ def test_expert_reopens_after_missed_grasp(stack_task):
     assert a.delta == (0.0, 0.0, 0.0)
 
 
-def test_expert_is_stateless_across_resets(stack_task):
-    p = ExpertPolicy()
-    obs = la.reset(stack_task, 4)
-    p.reset(4)
-    first = p.propose(obs)
-    p.reset(999)
-    assert p.propose(obs) == first
-
-
 def test_chunk_rolls_out_open_loop(stack_task):
     obs = la.reset(stack_task, 5)
-    chunk = ExpertPolicy(chunk_len=4).propose(obs)
+    drift = DriftPolicy(eta=0.0, sigma=0.0, chunk_len=4)  # no noise: the expert's actions
+    drift.reset(5)
+    chunk = drift.propose(obs)
     assert len(chunk.actions) == 4
     cur = obs
     for a in chunk.actions:
@@ -175,7 +169,7 @@ def test_drift_validation():
     with pytest.raises(ValueError):
         DriftPolicy(chunk_len=0)
     with pytest.raises(ValueError):
-        ExpertPolicy(chunk_len=9)
+        DriftPolicy(chunk_len=9)
 
 
 def test_drift_deltas_respect_bounds(stack_task):

@@ -11,10 +11,9 @@ import pytest
 
 import lookahead as la
 import reference_search as ref
+from expert import ExpertPolicy
 from lookahead.actions import flatten_chunk, unflatten_chunk
-from lookahead.errors import StateError
 from lookahead.kde import KdePrior, sample, top_k_near
-from lookahead.policies import ExpertPolicy
 from lookahead.search import (
     SearchConfig,
     SearchTrace,
@@ -42,52 +41,44 @@ def _goal_reward(obs0, action):
     return fn
 
 
-def _recompute(tree, node):
-    """Independent bottom-up evaluation of the backup equation."""
-    if not tree.children[node]:
-        return tree.value[node], tree.visits[node]
-    total, weighted = 0, 0.0
-    for ch in tree.children[node]:
-        q, n = _recompute(tree, ch)
-        total += n
-        weighted += n * q
-    return (total * tree.reward[node] + weighted) / (total + total), total
-
-
-def _subtree_rewards(tree, node):
-    out = [tree.reward[node]]
-    for ch in tree.children[node]:
-        out.extend(_subtree_rewards(tree, ch))
-    return out
+def _tree(path, rewards, visits):
+    """A search tree with the given path and per-level rewards and counts, not yet backed up."""
+    return SearchTree(NO_ACTION, list(path), [[NO_ACTION] * len(r) for r in rewards],
+                      [list(r) for r in rewards], [list(n) for n in visits],
+                      [list(r) for r in rewards])
 
 
 def _random_tree(rng, max_depth=4):
-    """A random flat tree below an unscored root, and its leaves in depth-first order."""
-    tree = SearchTree(NO_ACTION)
-    leaves = []
-
-    def grow(node, depth):
-        if depth == max_depth or (depth > 0 and rng.uniform() < 0.3):
-            leaves.append(node)
-            return
-        k = int(rng.integers(1, 5))
-        visits = [int(v) for v in rng.integers(1, 6, size=k)]
-        rewards = [float(r) for r in rng.uniform(size=k)]
-        first = tree.add_children(node, [NO_ACTION] * k, visits, rewards)
-        for ch in range(first, first + k):
-            grow(ch, depth + 1)
-
-    grow(0, 0)
-    return tree, leaves
+    """A random search-shaped tree: 1 to ``max_depth`` levels of 1 to 4 children,
+    a random path, counts 1 to 5 and rewards drawn from U[0, 1]."""
+    ks = [int(k) for k in rng.integers(1, 5, size=int(rng.integers(1, max_depth + 1)))]
+    rewards = [[float(r) for r in rng.uniform(size=k)] for k in ks]
+    visits = [[int(n) for n in rng.integers(1, 6, size=k)] for k in ks]
+    return _tree([int(rng.integers(0, k)) for k in ks[:-1]], rewards, visits)
 
 
-def _one_level(rewards, visits):
-    """A root with one expanded child, node 1 (reward 0.0), whose children hold the
-    given rewards and visit counts."""
-    tree = SearchTree(NO_ACTION)
-    tree.add_children(0, [NO_ACTION], [1], [0.0])
-    tree.add_children(1, [NO_ACTION] * len(rewards), list(visits), list(rewards))
-    return tree
+def _is_picked(tree, d, j):
+    return d < len(tree.path) and j == tree.path[d]
+
+
+def _recompute(tree, d, j):
+    """Independent bottom-up evaluation of the backup equation at child j of level d."""
+    if not _is_picked(tree, d, j):
+        return tree.rewards[d][j], tree.visits[d][j]
+    total, weighted = 0, 0.0
+    for ch in range(len(tree.rewards[d + 1])):
+        q, n = _recompute(tree, d + 1, ch)
+        total += n
+        weighted += n * q
+    return (total * tree.rewards[d][j] + weighted) / (total + total), total
+
+
+def _subtree_rewards(tree, d, j):
+    out = [tree.rewards[d][j]]
+    if _is_picked(tree, d, j):
+        for ch in range(len(tree.rewards[d + 1])):
+            out.extend(_subtree_rewards(tree, d + 1, ch))
+    return out
 
 
 # --- config ---------------------------------------------------------------
@@ -199,15 +190,6 @@ def test_expand_degenerate_prior_concentrates_on_anchor(stack_task):
     chosen, _ = expand(anchor, [], tight, SearchConfig(), seed=14)
     for row in chosen:
         assert np.allclose(row, anchor, atol=1e-9)
-
-
-def test_a_node_is_expanded_once():
-    tree = SearchTree(NO_ACTION)
-    first = tree.add_children(0, [NO_ACTION] * 2, [1, 1], [0.1, 0.2])
-    assert (first, tree.children[0]) == (1, range(1, 3))
-    with pytest.raises(StateError):
-        tree.add_children(0, [NO_ACTION], [1], [0.3])
-    assert tree.parent == [-1, 0, 0] and tree.depth == [0, 1, 1]
 
 
 def test_expand_rejects_ragged_anchor(prior):
@@ -323,59 +305,57 @@ def test_simulate_rejects_what_unflatten_chunk_rejects(stack_task, vec):
 def test_backprop_hand_example():
     # r=0.5 node whose single child holds Q=1.0 with count 2:
     # Q = (2*0.5 + 2*1.0) / 4 = 0.75
-    tree = SearchTree(NO_ACTION)
-    tree.add_children(0, [NO_ACTION], [1], [0.5])
-    tree.add_children(1, [NO_ACTION], [2], [1.0])
-    backpropagate(tree, 1)
-    assert tree.value[1] == 0.75
-    assert tree.visits[1] == 2
-    assert tree.visits[0] == 2 and tree.value[0] is None  # the root is not scored
+    tree = _tree([0], [[0.5], [1.0]], [[1], [2]])
+    backpropagate(tree)
+    assert tree.values[0][0] == 0.75
+    assert tree.visits[0][0] == 2
+    root = SearchTrace.from_tree(tree).nodes[0]
+    assert root.visits == 2 and root.value is None  # the root is not scored
 
 
 def test_backprop_leaf_value_is_reward():
-    tree = SearchTree(NO_ACTION)
-    tree.add_children(0, [NO_ACTION], [3], [0.42])
-    assert tree.value[1] == tree.reward[1] == 0.42  # no children: empty sum
+    tree = _tree([], [[0.42]], [[3]])
+    backpropagate(tree)
+    assert tree.values == tree.rewards == [[0.42]]  # no children: empty sum
+    assert tree.visits == [[3]]
 
 
 def test_backprop_random_trees_match_recomputation():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        tree, leaves = _random_tree(rng)
-        for leaf in leaves:  # depth-first order reaches the fixed point
-            backpropagate(tree, tree.parent[leaf])
-        assert tree.visits[0] == sum(tree.visits[ch] for ch in tree.children[0])
-        assert tree.value[0] is None
-        for node in range(1, len(tree.parent)):
-            q, n = _recompute(tree, node)
-            assert abs(tree.value[node] - q) <= 1e-12
-            assert tree.visits[node] == n
-            rs = _subtree_rewards(tree, node)
-            assert min(rs) - 1e-12 <= tree.value[node] <= max(rs) + 1e-12
+        tree = _random_tree(rng)
+        backpropagate(tree)
+        root = SearchTrace.from_tree(tree).nodes[0]
+        assert root.visits == sum(tree.visits[0]) and root.value is None
+        for d, level in enumerate(tree.values):
+            for j, value in enumerate(level):
+                q, n = _recompute(tree, d, j)
+                assert abs(value - q) <= 1e-12
+                assert tree.visits[d][j] == n
+                rs = _subtree_rewards(tree, d, j)
+                assert min(rs) - 1e-12 <= value <= max(rs) + 1e-12
 
 
 def test_backprop_runs_to_root():
-    tree = SearchTree(NO_ACTION)
-    tree.add_children(0, [NO_ACTION], [1], [0.1])  # a
-    tree.add_children(1, [NO_ACTION], [3], [0.2])  # b
-    tree.add_children(2, [NO_ACTION], [5], [0.9])  # c
-    backpropagate(tree, 2)
+    tree = _tree([0, 0], [[0.1], [0.2], [0.9]], [[1], [3], [5]])  # a, b, c
+    backpropagate(tree)
     # bottom-up: b first, then a, both from the backup equation
     qb = (5 * 0.2 + 5 * 0.9) / 10
     qa = (5 * 0.1 + 5 * qb) / 10
-    assert abs(tree.value[2] - qb) <= 1e-15
-    assert abs(tree.value[1] - qa) <= 1e-15
-    assert tree.visits[:3] == [5, 5, 5]
+    assert abs(tree.values[1][0] - qb) <= 1e-15
+    assert abs(tree.values[0][0] - qa) <= 1e-15
+    assert tree.visits == [[5], [5], [5]]
 
 
 def _grow_levels(seed, depth):
     """A search-shaped tree of random rewards and counts, one expanded node per
     level, deepened by UCB: as a reference node tree backed up once per child,
-    and as a flat tree backed up once per level."""
+    and as a search tree backed up once, after its last level."""
     rng = np.random.default_rng(seed)
+    c = 1.0 / math.sqrt(2.0)
     root = ref.TreeNode(incoming_action=np.zeros(4), reward=float(rng.uniform()))
     tree = SearchTree(NO_ACTION)
-    node, flat = root, 0
+    node = root
     for level in range(depth):
         k = int(rng.integers(1, 9))
         rewards = [float(r) for r in rng.uniform(-1.0, 1.0, size=k)]
@@ -385,15 +365,19 @@ def _grow_levels(seed, depth):
                          for i, (r, n) in enumerate(zip(rewards, visits))]
         for ch in node.children:
             ref.backpropagate(ch)
-        first = tree.add_children(flat, [NO_ACTION] * k, visits, rewards)
-        backpropagate(tree, flat)
-        node = ref.select_ucb(node, 1.0 / math.sqrt(2.0))
-        flat = select_ucb(tree, flat, 1.0 / math.sqrt(2.0))
-        assert flat - first == node.index
+        node = ref.select_ucb(node, c)
+        tree.actions.append([NO_ACTION] * k)
+        tree.rewards.append(rewards)
+        tree.visits.append(visits)
+        tree.values.append(rewards[:])
+        assert select_ucb(tree.values[-1], tree.visits[-1], c) == node.index
+        if level + 1 < depth:
+            tree.path.append(node.index)
+    backpropagate(tree)
     return ref.trace(root), SearchTrace.from_tree(tree)
 
 
-def test_one_backup_per_level_equals_the_per_child_loop():
+def test_one_backup_per_search_equals_the_per_child_loop():
     for trial in range(200):
         loop, once = _grow_levels(trial, 1 + trial % 4)
         assert once.nodes[0].visits == loop.nodes[0].visits
@@ -405,46 +389,30 @@ def test_one_backup_per_level_equals_the_per_child_loop():
 
 
 def test_ucb_hand_example():
-    # (Q=0.6, N=8) vs (Q=0.5, N=1) under parent N=9 at c=1/sqrt(2):
+    # (Q=0.6, N=8) vs (Q=0.5, N=1) under parent N=8+1=9 at c=1/sqrt(2):
     # scores ~0.9494 and ~1.2412, so the lightly visited child wins
-    tree = _one_level([0.6, 0.5], [8, 1])
-    backpropagate(tree, 1)
-    assert tree.visits[1] == 9
     c = 1 / math.sqrt(2)
     s_heavy = 0.6 + c * math.sqrt(math.log(9) / 9)
     s_light = 0.5 + c * math.sqrt(math.log(9) / 2)
     assert s_heavy == pytest.approx(0.9494, abs=1e-4)
     assert s_light == pytest.approx(1.2412, abs=1e-4)
-    assert select_ucb(tree, 1, c) == 3
+    assert select_ucb([0.6, 0.5], [8, 1], c) == 1
     # the engine's scores sit within 1e-9 of the hand formula at the decision boundary
     flip = s_light - c * math.sqrt(math.log(9) / 9)
-    for nudge, heavy in ((1e-9, 2), (-1e-9, 3)):
-        tree = _one_level([flip + nudge, 0.5], [8, 1])
-        backpropagate(tree, 1)
-        assert select_ucb(tree, 1, c) == heavy
+    for nudge, heavy in ((1e-9, 0), (-1e-9, 1)):
+        assert select_ucb([flip + nudge, 0.5], [8, 1], c) == heavy
 
 
 def test_ucb_zero_c_is_greedy():
-    tree = _one_level([0.3, 0.8, 0.5], [1, 50, 2])
-    backpropagate(tree, 1)
-    assert select_ucb(tree, 1, 0.0) == 3
+    assert select_ucb([0.3, 0.8, 0.5], [1, 50, 2], 0.0) == 1
 
 
 def test_ucb_equal_q_prefers_fewest_visits():
-    tree = _one_level([0.5, 0.5, 0.5], [6, 2, 4])
-    backpropagate(tree, 1)
-    assert select_ucb(tree, 1, 1.0) == 3
+    assert select_ucb([0.5, 0.5, 0.5], [6, 2, 4], 1.0) == 1
 
 
 def test_ucb_exact_tie_keeps_lowest_index():
-    tree = _one_level([0.5, 0.5, 0.5], [4, 4, 4])
-    backpropagate(tree, 1)
-    assert select_ucb(tree, 1, 0.7) == 2
-
-
-def test_ucb_unexpanded_node_errors():
-    with pytest.raises(StateError):
-        select_ucb(SearchTree(NO_ACTION), 0, 1.0)
+    assert select_ucb([0.5, 0.5, 0.5], [4, 4, 4], 0.7) == 0
 
 
 # --- run_search -----------------------------------------------------------
@@ -522,6 +490,7 @@ def test_search_tree_size_and_root_candidates(stack_task, prior, reward_model):
     cfg = SearchConfig()
     res = run_search(obs, chunk, prior, la.step, reward_fn, cfg, seed=28)
     assert len(res.trace.nodes) == cfg.k * cfg.max_depth + 1
+    assert len(res.tree.actions) == cfg.max_depth and len(res.tree.path) == cfg.max_depth - 1
     roots = [n for n in res.trace.nodes if n.depth == 1]
     assert any(np.array_equal(np.asarray(n.action), anchor) for n in roots)
 
@@ -612,15 +581,18 @@ def test_search_matches_the_scalar_reference(demos, reward_model, monkeypatch, s
 @pytest.mark.parametrize("max_depth", [1, 3])
 def test_search_selects_only_the_nodes_it_deepens(stack_task, prior, reward_model, monkeypatch,
                                                    max_depth):
-    picks = []
-    select_fn = la.search.select_ucb
+    picks, backups = [], []
+    select_fn, backup_fn = la.search.select_ucb, la.search.backpropagate
     monkeypatch.setattr(la.search, "select_ucb",
-                        lambda tree, node, c: picks.append(node) or select_fn(tree, node, c))
+                        lambda values, visits, c: picks.append(values) or select_fn(values, visits, c))
+    monkeypatch.setattr(la.search, "backpropagate",
+                        lambda tree: backups.append(tree) or backup_fn(tree))
     obs = la.reset(stack_task, 54)
     reward_fn = lambda o: la.predict_reward(reward_model, o)
-    run_search(obs, ExpertPolicy().propose(obs), prior, la.step, reward_fn,
-               SearchConfig(max_depth=max_depth), seed=55)
+    res = run_search(obs, ExpertPolicy().propose(obs), prior, la.step, reward_fn,
+                     SearchConfig(max_depth=max_depth), seed=55)
     assert len(picks) == max_depth - 1  # no pick after the last level
+    assert backups == [res.tree]  # one backup per search, after the last level
 
 
 def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model, monkeypatch):
