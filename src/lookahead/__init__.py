@@ -21,7 +21,6 @@ from .actions import (
 from .bench import (
     ArmResult,
     BenchReport,
-    PolicyParams,
     RunConfig,
     ablate_reward,
     ablate_sampling,
@@ -47,7 +46,7 @@ from .kde import (
     top_k_near,
     weights_from_densities,
 )
-from .policies import DriftPolicy, expert_action
+from .policies import DriftPolicy, PolicyParams, expert_action
 from .records import EpisodeResult, Trajectory, action_matrix, read_trajectories, write_trajectories
 from .reward import (
     FrameBankScorer,

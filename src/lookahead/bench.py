@@ -22,10 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .actions import ACTION_DIM, Action, MAX_CHUNK_LEN
+from .actions import ACTION_DIM, Action
 from .errors import DataError, require_types
 from .kde import KdePrior, fit_kde
-from .policies import DriftPolicy, expert_action
+from .policies import DriftPolicy, PolicyParams, expert_action
 from .records import EpisodeResult, Trajectory, action_matrix, read_trajectories, write_trajectories
 from .reward import (
     FrameBankScorer,
@@ -41,25 +41,6 @@ from .seeding import derive_seed
 from .world import Observation, Stack, TaskSpec, feature_length, imperfect_step, is_success, reset, step
 
 log = logging.getLogger(__name__)
-
-
-@dataclasses.dataclass(frozen=True)
-class PolicyParams:
-    """Drift-policy knobs for the benchmarked base policy."""
-
-    eta: float = 0.004
-    sigma: float = 0.005
-    chunk_len: int = 1
-
-    def __post_init__(self) -> None:
-        require_types(self)
-        if self.eta < 0 or self.sigma < 0:
-            raise ValueError("eta and sigma must be non-negative")
-        if not 1 <= self.chunk_len <= MAX_CHUNK_LEN:
-            raise ValueError(f"chunk_len must be in [1, {MAX_CHUNK_LEN}]")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # config section -> key -> RunConfig field, in report order; to_dict and from_dict both read it.
@@ -104,6 +85,10 @@ class RunConfig:
             raise ValueError("n_episodes must be >= 1")
         if self.demo_count < 1:
             raise ValueError("demo_count must be >= 1")
+        for name in ("base_seed", "demo_seed"):  # derive_seed encodes an int in 16 signed bytes
+            seed = getattr(self, name)
+            if not -2 ** 127 <= seed < 2 ** 127:
+                raise ValueError(f"{name} must lie in [-2**127, 2**127), got {seed}")
         if not self.prior_bandwidth > 0:
             raise ValueError("prior_bandwidth must be positive")
         if self.reward_stride < 1:
@@ -238,8 +223,7 @@ def run_episode(
     if use_reasoner and (prior is None or reward_fn is None):
         raise ValueError("the reasoner arm needs a fitted prior and reward scorer")
     t0 = time.perf_counter()
-    policy = DriftPolicy(eta=config.policy.eta, sigma=config.policy.sigma,
-                         chunk_len=config.policy.chunk_len)
+    policy = DriftPolicy(config.policy)
     policy.reset(episode_seed)
     obs = reset(config.task, episode_seed)
     if use_reasoner:

@@ -74,13 +74,11 @@ def _load_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
         parser.error(f"config is not valid JSON: {exc}")
     try:
         config = RunConfig.from_dict(doc)
+        if args.seed is not None:
+            seed_field = "demo_seed" if args.command == "gen-data" else "base_seed"
+            config = dataclasses.replace(config, **{seed_field: args.seed})
     except (KeyError, TypeError, ValueError) as exc:
         parser.error(f"invalid config: {exc}")
-    if args.seed is not None:
-        if args.command == "gen-data":
-            config = dataclasses.replace(config, demo_seed=args.seed)
-        else:
-            config = dataclasses.replace(config, base_seed=args.seed)
     return config
 
 

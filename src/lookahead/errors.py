@@ -60,6 +60,19 @@ def require_keys(doc: object, keys: tuple[str, ...], source: object) -> dict:
     return doc
 
 
+def require_numbers(values: object, source: object, key: str) -> list:
+    """``values``, once it is a list of numbers; otherwise a DataError naming ``source``
+    (the file the list came from), ``key`` and the first entry that is not one. A NaN
+    or an infinity passes, for the finiteness check of the list's owner to name."""
+    if type(values) is not list:
+        raise DataError(f"{source}: {key} must be a list of numbers, got {values!r}")
+    if not are_numbers(values):
+        for i, v in enumerate(values):
+            if not (type(v) is float or is_number(v)):
+                raise DataError(f"{source}: {key} entry {i} must be a number, got {v!r}")
+    return values
+
+
 def require_types(obj: object) -> None:
     """Raise ValueError, as ``<field> must be <what>, got <value!r>``, naming the first
     field of dataclass ``obj`` whose value does not fit its ``_FIELD_TYPES`` entry; a

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, require_keys, require_types
+from .errors import DataError, require_keys, require_numbers, require_types
 
 # a kernel term is exactly +0.0 once ||a - a_i||^2 / (2 h^2) exceeds about
 # 745.13; density's window keeps the points below this exponent
@@ -280,7 +280,14 @@ def load_prior(path: str | Path) -> KdePrior:
     """The stored prior; a ``bandwidth_rule`` key from older files is ignored."""
     doc = require_keys(json.loads(Path(path).read_text(encoding="utf-8")),
                        ("dim", "bandwidth", "points"), path)
-    pts = np.asarray(doc["points"], dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != doc["dim"]:
-        raise ValueError("stored points do not match the stored dimension")
-    return KdePrior(points=pts, bandwidth=doc["bandwidth"])
+    dim, points = doc["dim"], doc["points"]
+    if type(dim) is not int:
+        raise DataError(f"{path}: 'dim' must be an integer, got {dim!r}")
+    if type(points) is not list:
+        raise DataError(f"{path}: 'points' must be a list of rows, got {points!r}")
+    for i, row in enumerate(points):
+        require_numbers(row, path, f"'points' row {i}")
+        if len(row) != dim:
+            raise DataError(f"{path}: stored points do not match the stored dimension: "
+                            f"'points' row {i} holds {len(row)} numbers, 'dim' is {dim}")
+    return KdePrior(points=np.asarray(points, dtype=float), bandwidth=doc["bandwidth"])

@@ -8,9 +8,11 @@ models a miscalibrated imitation policy whose error compounds over a rollout.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .actions import Action, ActionChunk, DELTA_BOUND, MAX_CHUNK_LEN
+from .errors import require_types
 from .seeding import rng_from
 from .world import FollowCircle, Observation, PickPlace, Stack, step, waypoint_positions
 
@@ -72,25 +74,36 @@ def expert_action(obs: Observation) -> Action:
     return Action.zero(grip=0.0)  # release; the block settles onto its support
 
 
+@dataclasses.dataclass(frozen=True)
+class PolicyParams:
+    """The drift policy's knobs: bias step eta, noise scale sigma and chunk length."""
+
+    eta: float = 0.004
+    sigma: float = 0.005
+    chunk_len: int = 1
+
+    def __post_init__(self) -> None:
+        require_types(self)
+        if self.eta < 0 or self.sigma < 0:
+            raise ValueError("eta and sigma must be non-negative")
+        if not 1 <= self.chunk_len <= MAX_CHUNK_LEN:
+            raise ValueError(f"chunk_len must be in [1, {MAX_CHUNK_LEN}]")
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
 class DriftPolicy:
     """Expert actions corrupted by accumulated bias plus Gaussian noise.
 
     Per emitted action the bias takes one random-walk step of size eta, so its
     norm grows like eta * sqrt(t). Only the position deltas are corrupted; the
-    grip channel passes through untouched.
+    grip channel passes through untouched. A fresh policy is reset to seed 0.
     """
 
-    def __init__(self, eta: float = 0.004, sigma: float = 0.005,
-                 chunk_len: int = 1):
-        if eta < 0 or sigma < 0:
-            raise ValueError("eta and sigma must be non-negative")
-        if not 1 <= chunk_len <= MAX_CHUNK_LEN:
-            raise ValueError(f"chunk_len must be in [1, {MAX_CHUNK_LEN}]")
-        self.eta = eta
-        self.sigma = sigma
-        self.chunk_len = chunk_len
-        self._bias = (0.0, 0.0, 0.0)
-        self._rng = rng_from("drift", 0, 0)
+    def __init__(self, params: PolicyParams = PolicyParams()):
+        self.params = params
+        self.reset(0)
 
     def reset(self, episode_seed: int) -> None:
         self._bias = (0.0, 0.0, 0.0)
@@ -99,16 +112,16 @@ class DriftPolicy:
     def propose(self, obs: Observation) -> ActionChunk:
         """``chunk_len`` drift actions rolled out open loop: the exact world steps between them."""
         actions = []
-        for i in range(self.chunk_len):
+        for i in range(self.params.chunk_len):
             a = self._drift_action(obs)
             actions.append(a)
-            if i + 1 < self.chunk_len:
+            if i + 1 < self.params.chunk_len:
                 obs = step(obs, a)
         return ActionChunk(tuple(actions))
 
     def _drift_action(self, obs: Observation) -> Action:
         base = expert_action(obs)
-        n0, n1, n2 = self._rng.normal(0.0, self.sigma, size=3).tolist()
+        n0, n1, n2 = self._rng.normal(0.0, self.params.sigma, size=3).tolist()
         d0, d1, d2 = base.delta
         b0, b1, b2 = bias = self._bias
         # in Python floats, the array form's IEEE operations in its order:
@@ -123,6 +136,6 @@ class DriftPolicy:
         u = self._rng.normal(size=3)
         norm = math.sqrt(u.dot(u))  # np.linalg.norm's formula for a real vector
         if norm > 0.0:
-            eta = self.eta
+            eta = self.params.eta
             self._bias = tuple([b + eta * (x / norm) for b, x in zip(bias, u.tolist())])
         return Action(delta, base.grip)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, require_keys, require_types
+from .errors import DataError, require_keys, require_numbers, require_types
 from .records import Trajectory
 from .world import Observation, render_features
 
@@ -188,6 +188,6 @@ def load_model(path: str | Path) -> RewardModel:
                        ("task_kind", "weights", "ridge_lambda"), path)
     return RewardModel(
         task_kind=doc["task_kind"],
-        weights=np.asarray(doc["weights"], dtype=float),
+        weights=np.asarray(require_numbers(doc["weights"], path, "'weights'"), dtype=float),
         ridge_lambda=doc["ridge_lambda"],
     )

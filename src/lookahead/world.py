@@ -87,7 +87,7 @@ class TaskSpec:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be a positive real")
         kind = self.kind
-        n_obj = len(_NOMINAL_XY[type(kind)])
+        n_obj = self.n_objects
         require_types(kind)
         if isinstance(kind, Stack):
             if not (0 <= kind.src < n_obj and 0 <= kind.dst < n_obj) or kind.src == kind.dst:
@@ -175,7 +175,7 @@ class Observation:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, tasks: dict[str, TaskSpec] | None = None) -> "Observation":
+    def from_dict(cls, doc: dict, tasks: dict[str, TaskSpec]) -> "Observation":
         """Parse ``to_dict``'s form. ``tasks`` memoizes parsed task specs across
         calls, keyed by the task dict's ``repr``, so a spec is reused only for a
         task dict with the same keys, values and value types (``1``, ``1.0`` and
@@ -188,13 +188,10 @@ class Observation:
         value reaches the check as read. A failed check is a ValueError naming
         the field."""
         task_doc = doc["task"]
-        if tasks is None:
-            task = TaskSpec.from_dict(task_doc)
-        else:
-            key = repr(task_doc)
-            task = tasks.get(key)
-            if task is None:
-                task = tasks[key] = TaskSpec.from_dict(task_doc)
+        key = repr(task_doc)
+        task = tasks.get(key)
+        if task is None:
+            task = tasks[key] = TaskSpec.from_dict(task_doc)
         objects = []
         for i, o in enumerate(doc["objects"]):
             pos = o["pos"]

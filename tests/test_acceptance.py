@@ -21,7 +21,7 @@ import lookahead as la
 from expert import ExpertPolicy
 from lookahead.actions import flatten_chunk, unflatten_chunk
 from lookahead.kde import density, fit_kde, sample, top_k_near
-from lookahead.policies import DriftPolicy, expert_action
+from lookahead.policies import DriftPolicy, PolicyParams, expert_action
 from lookahead.reward import FrameBankScorer, LabeledFrame, fit_reward, label_progress
 from lookahead.search import SearchConfig, SearchTree, backpropagate, run_search, select_ucb
 from lookahead.seeding import derive_seed
@@ -213,7 +213,7 @@ def test_criterion_3_statistical_suite():
     obs = la.reset(task, 0)
     sq = 0.0
     for r in range(runs):
-        d = DriftPolicy(eta=eta, sigma=0.0)
+        d = DriftPolicy(PolicyParams(eta=eta, sigma=0.0))
         d.reset(r)
         for _ in range(t_steps):
             d.propose(obs)

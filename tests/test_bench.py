@@ -52,6 +52,23 @@ def test_run_config_validation():
         la.RunConfig(ridge_lambda=-1.0)
     with pytest.raises(ValueError):
         PolicyParams(eta=-0.1)
+    with pytest.raises(ValueError):
+        PolicyParams(sigma=-0.01)
+    with pytest.raises(ValueError):
+        PolicyParams(chunk_len=0)
+    with pytest.raises(ValueError):
+        PolicyParams(chunk_len=9)
+
+
+@pytest.mark.parametrize("name", ["base_seed", "demo_seed"])
+def test_seeds_lie_in_derive_seeds_int_range(name):
+    for seed in (-2 ** 127, 2 ** 127 - 1):
+        la.derive_seed(getattr(la.RunConfig(**{name: seed}), name), "episode", 0)
+    for seed in (-2 ** 127 - 1, 2 ** 127):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [-2**127, 2**127)")):
+            la.RunConfig(**{name: seed})
+        with pytest.raises(OverflowError):
+            la.derive_seed(seed)
 
 
 def test_run_config_dict_round_trip(run_config):

@@ -283,6 +283,20 @@ def _without(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
+def _with_entry(key, index, value):
+    """An edit of a one-object JSON file that sets ``doc[key][i][j]...`` to ``value``,
+    for ``index == (i, j, ...)``."""
+    def apply(text):
+        doc = json.loads(text)
+        *outer, last = index
+        target = doc[key]
+        for i in outer:
+            target = target[i]
+        target[last] = value
+        return json.dumps(doc)
+    return apply
+
+
 @pytest.mark.parametrize("name, edit, named", [
     ("prior.json", _without("bandwidth"), "DataError: {path}: missing key 'bandwidth'"),
     ("prior.json", lambda text: "[1, 2]", "DataError: {path} must be a JSON object, got list"),
@@ -300,6 +314,23 @@ def _without(key):
     ("demos.jsonl", lambda text: "[]\n", "DataError: {path} line 1 must be a JSON object, got list"),
     ("reward.json", lambda text: text.replace('"task_kind": "stack"', '"task_kind": 5'),
      "ValueError: task_kind must be a string, got 5"),
+    ("prior.json", _with_entry("points", (1, 0), True),
+     "DataError: {path}: 'points' row 1 entry 0 must be a number, got True"),
+    ("prior.json", _with_entry("points", (2, 3), "x"),
+     "DataError: {path}: 'points' row 2 entry 3 must be a number, got 'x'"),
+    ("prior.json", _with_entry("points", (1,), [0.0, 0.0]),
+     "DataError: {path}: stored points do not match the stored dimension: "
+     "'points' row 1 holds 2 numbers, 'dim' is 4"),
+    ("prior.json", _with_entry("points", (1,), 0.5),
+     "DataError: {path}: 'points' row 1 must be a list of numbers, got 0.5"),
+    ("prior.json", lambda text: text.replace('"dim": 4', '"dim": 4.0'),
+     "DataError: {path}: 'dim' must be an integer, got 4.0"),
+    ("reward.json", _with_entry("weights", (2,), "0.5"),
+     "DataError: {path}: 'weights' entry 2 must be a number, got '0.5'"),
+    ("reward.json", _with_entry("weights", (0,), True),
+     "DataError: {path}: 'weights' entry 0 must be a number, got True"),
+    ("reward.json", _with_entry("weights", (1,), "x"),
+     "DataError: {path}: 'weights' entry 1 must be a number, got 'x'"),
 ])
 def test_malformed_artifact_exits_one_before_any_episode(workdir, tmp_path, monkeypatch, capsys,
                                                          name, edit, named):
@@ -429,6 +460,30 @@ def test_readme_example_config_parses():
     example = readme.split("A minimal config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
     config = RunConfig.from_dict(json.loads(example))
     assert config.n_episodes == 200 and config.search.alpha == 0.6
+
+
+@pytest.mark.parametrize("command, section, key, field", [
+    ("run", "bench", "base_seed", "base_seed"),
+    ("gen-data", "demos", "seed", "demo_seed"),
+])
+@pytest.mark.parametrize("seed", [10 ** 42, 2 ** 127, -2 ** 127 - 1],
+                         ids=["10**42", "2**127", "-2**127-1"])
+def test_oversized_seed_exits_two_naming_it(tmp_path, monkeypatch, capsys,
+                                            command, section, key, field, seed):
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    named = f"invalid config: {field} must lie in [-2**127, 2**127), got {seed}"
+    in_config, on_command_line = tmp_path / "in_config.json", tmp_path / "config.json"
+    in_config.write_text(json.dumps(dict(TINY, **{section: {key: seed}})), encoding="utf-8")
+    on_command_line.write_text(json.dumps(TINY), encoding="utf-8")
+    for argv in (["--config", str(in_config)],
+                 ["--config", str(on_command_line), "--seed", str(seed)]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--out", str(tmp_path / "o"), "--quiet"])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+    assert episodes == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_gen_data_seed_override(tmp_path, capsys):

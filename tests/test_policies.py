@@ -9,8 +9,8 @@ import pytest
 
 import lookahead as la
 from expert import ExpertPolicy
-from lookahead.actions import DELTA_BOUND
-from lookahead.policies import DriftPolicy, _move_toward, expert_action
+from lookahead.actions import DELTA_BOUND, flatten_chunk
+from lookahead.policies import DriftPolicy, PolicyParams, _move_toward, expert_action
 from lookahead.seeding import rng_from
 from lookahead.world import waypoint_positions
 
@@ -80,7 +80,7 @@ def test_expert_reopens_after_missed_grasp(stack_task):
 
 def test_chunk_rolls_out_open_loop(stack_task):
     obs = la.reset(stack_task, 5)
-    drift = DriftPolicy(eta=0.0, sigma=0.0, chunk_len=4)  # no noise: the expert's actions
+    drift = DriftPolicy(PolicyParams(eta=0.0, sigma=0.0, chunk_len=4))  # no noise: the expert's actions
     drift.reset(5)
     chunk = drift.propose(obs)
     assert len(chunk.actions) == 4
@@ -91,7 +91,7 @@ def test_chunk_rolls_out_open_loop(stack_task):
 
 
 def test_drift_zero_noise_matches_expert(stack_task):
-    drift = DriftPolicy(eta=0.0, sigma=0.0)
+    drift = DriftPolicy(PolicyParams(eta=0.0, sigma=0.0))
     drift.reset(6)
     obs = la.reset(stack_task, 6)
     for _ in range(30):
@@ -103,7 +103,7 @@ def test_drift_zero_noise_matches_expert(stack_task):
 def test_drift_first_action_is_expert_plus_noise_only(stack_task):
     # bias updates after emission, so the first post-reset action carries
     # white noise but no accumulated bias
-    drift = DriftPolicy(eta=0.05, sigma=0.0)
+    drift = DriftPolicy(PolicyParams(eta=0.05, sigma=0.0))
     drift.reset(7)
     obs = la.reset(stack_task, 7)
     a = drift.propose(obs).actions[0]
@@ -126,30 +126,36 @@ def test_drift_same_seed_same_stream(stack_task):
     assert other != seqs[0]
 
 
+@pytest.mark.parametrize("params", [PolicyParams(),
+                                    PolicyParams(eta=0.03, sigma=0.04, chunk_len=3)],
+                         ids=["shipped", "chunk-3"])
+def test_fresh_drift_policy_proposes_what_a_reset_to_0_does(stack_task, params):
+    fresh, reset = DriftPolicy(params), DriftPolicy(params)
+    reset.reset(5)
+    reset.propose(la.reset(stack_task, 5))  # moves the bias and the stream away from seed 0
+    reset.reset(0)
+    obs = la.reset(stack_task, 0)
+    for _ in range(20):
+        a, b = fresh.propose(obs), reset.propose(obs)
+        assert flatten_chunk(a).tobytes() == flatten_chunk(b).tobytes()
+        obs = la.step(obs, a.actions[0])
+
+
+@pytest.mark.parametrize("name", ["eta", "sigma"])
+@pytest.mark.parametrize("value", ["x", True, None])
+def test_drift_policy_names_a_non_number_knob(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+        DriftPolicy(PolicyParams(**{name: value}))
+
+
 def test_drift_grip_channel_untouched(stack_task):
-    drift = DriftPolicy(eta=0.01, sigma=0.01)
+    drift = DriftPolicy(PolicyParams(eta=0.01, sigma=0.01))
     drift.reset(10)
     obs = la.reset(stack_task, 10)
     for _ in range(40):
         a = drift.propose(obs).actions[0]
         assert a.grip == expert_action(obs).grip
         obs = la.step(obs, a)
-
-
-def test_drift_bias_grows_like_sqrt_t():
-    # random-walk bias: RMS norm after t steps is eta * sqrt(t)
-    eta, t, runs = 0.004, 64, 1000
-    task = la.TaskSpec(kind=la.FollowCircle())
-    obs = la.reset(task, 0)
-    sq = 0.0
-    for r in range(runs):
-        d = DriftPolicy(eta=eta, sigma=0.0)
-        d.reset(r)
-        for _ in range(t):
-            d.propose(obs)
-        sq += sum(b * b for b in d._bias)
-    rms = math.sqrt(sq / runs)
-    assert abs(rms / (eta * math.sqrt(t)) - 1.0) < 0.30
 
 
 def test_drift_hurts_success_rate(stack_task):
@@ -161,19 +167,8 @@ def test_drift_hurts_success_rate(stack_task):
     assert 0 < drift_wins  # corrupted, not incapacitated
 
 
-def test_drift_validation():
-    with pytest.raises(ValueError):
-        DriftPolicy(eta=-0.01)
-    with pytest.raises(ValueError):
-        DriftPolicy(sigma=-0.01)
-    with pytest.raises(ValueError):
-        DriftPolicy(chunk_len=0)
-    with pytest.raises(ValueError):
-        DriftPolicy(chunk_len=9)
-
-
 def test_drift_deltas_respect_bounds(stack_task):
-    drift = DriftPolicy(eta=0.05, sigma=0.05)  # exaggerated corruption
+    drift = DriftPolicy(PolicyParams(eta=0.05, sigma=0.05))  # exaggerated corruption
     drift.reset(11)
     obs = la.reset(stack_task, 11)
     for _ in range(50):
@@ -213,7 +208,7 @@ class _ArrayDrift:
 def test_drift_action_equals_the_array_form_bit_for_bit(stack_task, eta, sigma):
     clamped = [0, 0]  # deltas the array form clamped to -DELTA_BOUND, to +DELTA_BOUND
     for seed in range(12):
-        drift, ref = DriftPolicy(eta=eta, sigma=sigma), _ArrayDrift(eta, sigma, seed)
+        drift, ref = DriftPolicy(PolicyParams(eta=eta, sigma=sigma)), _ArrayDrift(eta, sigma, seed)
         drift.reset(seed)
         obs = la.reset(stack_task, seed)
         for _ in range(60):

@@ -269,7 +269,7 @@ def test_pick_place_success():
 def test_observation_dict_round_trip(stack_task):
     obs = la.reset(stack_task, 12)
     obs = la.step(obs, la.Action((0.01, 0.02, -0.03), 0.8))
-    again = la.Observation.from_dict(obs.to_dict())
+    again = la.Observation.from_dict(obs.to_dict(), {})
     assert again == obs
 
 
