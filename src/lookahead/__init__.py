@@ -61,7 +61,6 @@ from .reward import (
 )
 from .search import (
     SearchConfig,
-    SearchResult,
     SearchTrace,
     SearchTree,
     act,

@@ -402,9 +402,6 @@ def _learned_scorer(config: RunConfig, prior: KdePrior, reward_model: RewardMode
     if reward_model.task_kind != config.task.task_id:
         raise ValueError(f"reward model fitted for task {reward_model.task_kind!r} does not match "
                          f"task {config.task.task_id!r}")
-    if config.search.noise_sigma is not None:
-        # the noise arm's one-point prior: a bandwidth it cannot use fails here
-        KdePrior(points=prior.points[:1], bandwidth=config.search.noise_sigma)
     return functools.partial(predict_reward, reward_model)
 
 
@@ -435,8 +432,7 @@ def ablate_sampling(config: RunConfig, prior: KdePrior, reward_model: RewardMode
     """KDE expansion vs Gaussian-noise expansion at the same pool size.
 
     The noise arm is the same search over the KDE of the anchor alone: a
-    one-point prior of bandwidth ``config.search.noise_sigma``, which defaults
-    to the fitted prior's bandwidth.
+    one-point prior of the fitted prior's bandwidth.
     """
     scorer = _learned_scorer(config, prior, reward_model)
     kde = _with_search(config, sampler="kde")

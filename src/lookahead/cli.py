@@ -70,8 +70,8 @@ def _load_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
         parser.error(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        parser.error(f"config is not valid JSON: {exc}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        parser.error(f"config is not valid UTF-8 JSON: {exc}")
     try:
         config = RunConfig.from_dict(doc)
         if args.seed is not None:

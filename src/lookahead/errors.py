@@ -1,8 +1,9 @@
 """Exception types shared across the package, the type check of every field read
-from a file, and the key check of artifact documents."""
+from a file, and the parse and key check of artifact documents."""
 
 import dataclasses
 import functools
+import json
 import math
 import sys
 
@@ -49,9 +50,16 @@ def _typed_fields(cls: type) -> tuple[tuple[str, object, str], ...]:
                  if f.type in _FIELD_TYPES)
 
 
-def require_keys(doc: object, keys: tuple[str, ...], source: object) -> dict:
-    """``doc``, once it is a JSON object holding every one of ``keys``; otherwise a
-    DataError naming ``source`` (the file the document came from) and the first missing key."""
+def parse_object(data: bytes, keys: tuple[str, ...], source: object) -> dict:
+    """``data`` parsed, once it is UTF-8 JSON text of an object holding every one of
+    ``keys``; otherwise a DataError naming ``source`` (the file, or file and line, the
+    bytes came from) and what is wrong: the text, the JSON, the type or the first missing key."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{source}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{source}: not valid JSON: {exc.msg} at char {exc.pos}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{source} must be a JSON object, got {type(doc).__name__}")
     for key in keys:

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, require_keys, require_numbers, require_types
+from .errors import DataError, parse_object, require_numbers, require_types
 
 # a kernel term is exactly +0.0 once ||a - a_i||^2 / (2 h^2) exceeds about
 # 745.13; density's window keeps the points below this exponent
@@ -278,8 +278,7 @@ def save_prior(prior: KdePrior, path: str | Path) -> None:
 
 def load_prior(path: str | Path) -> KdePrior:
     """The stored prior; a ``bandwidth_rule`` key from older files is ignored."""
-    doc = require_keys(json.loads(Path(path).read_text(encoding="utf-8")),
-                       ("dim", "bandwidth", "points"), path)
+    doc = parse_object(Path(path).read_bytes(), ("dim", "bandwidth", "points"), path)
     dim, points = doc["dim"], doc["points"]
     if type(dim) is not int:
         raise DataError(f"{path}: 'dim' must be an integer, got {dim!r}")

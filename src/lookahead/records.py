@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .actions import ACTION_DIM, Action
-from .errors import DataError, are_numbers, require_keys, require_types
+from .errors import DataError, are_numbers, parse_object, require_types
 from .world import Observation
 
 
@@ -115,11 +115,11 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
     """
     tasks: dict = {}
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 where = f"{path} line {number}"
-                record = require_keys(json.loads(line), ("task_id", "seed", "success", "frames"), where)
+                record = parse_object(line, ("task_id", "seed", "success", "frames"), where)
                 if not isinstance(record["frames"], list):
                     raise DataError(f"{where}: frames must be a list, got {record['frames']!r}")
                 frames = []

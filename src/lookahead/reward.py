@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, require_keys, require_numbers, require_types
+from .errors import DataError, parse_object, require_numbers, require_types
 from .records import Trajectory
 from .world import Observation, render_features
 
@@ -184,8 +184,7 @@ def save_model(model: RewardModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RewardModel:
-    doc = require_keys(json.loads(Path(path).read_text(encoding="utf-8")),
-                       ("task_kind", "weights", "ridge_lambda"), path)
+    doc = parse_object(Path(path).read_bytes(), ("task_kind", "weights", "ridge_lambda"), path)
     return RewardModel(
         task_kind=doc["task_kind"],
         weights=np.asarray(require_numbers(doc["weights"], path, "'weights'"), dtype=float),

@@ -4,18 +4,17 @@ One search descends from the current state one level at a time: it expands
 the picked node with the k prior samples nearest its incoming action (the
 policy proposal always stays a candidate), rolls each child through the world
 model and scores it with the reward head; UCB then picks the child to deepen.
-After the last level one backup folds the values up the path, and the
-returned action is the root child with the best backed-up value, which the
-caller blends into the policy's proposal with weight 1 - alpha. The tree is a
-``SearchTree``: the chosen path and, per level, the children as flat lists;
-its root is never scored. ``SearchResult.trace`` flattens it on first read,
-so acting on the result alone never builds it.
+After the last level one backup folds the values up the path. The search
+returns its ``SearchTree``: the chosen path and, per level, the children as
+flat lists; its root is never scored. The tree's ``action`` is the root child
+with the best backed-up value, which the caller blends into the policy's
+proposal with weight 1 - alpha. ``SearchTrace.from_tree`` flattens a tree for
+diagnostics; acting never builds it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from typing import Callable
@@ -50,7 +49,7 @@ class SearchConfig:
     action alone and alpha = 1 executes the policy's: the search still runs,
     and the blend discards its result. The "noise"
     sampler is the "kde" one over a one-point prior: the node's incoming action
-    with bandwidth noise_sigma, or the fitted prior's bandwidth when that is None.
+    with the fitted prior's bandwidth.
     """
 
     k: int = 8
@@ -61,7 +60,6 @@ class SearchConfig:
     visit_budget: int = 64
     epsilon_model: float = 0.0
     sampler: str = "kde"  # "kde" | "noise" (ablation arm)
-    noise_sigma: float | None = None  # None: match the prior bandwidth
 
     def __post_init__(self) -> None:
         require_types(self)
@@ -79,8 +77,6 @@ class SearchConfig:
             raise ValueError("epsilon_model must be non-negative")
         if self.sampler not in ("kde", "noise"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.noise_sigma is not None and self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be positive when set")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -88,9 +84,9 @@ class SearchConfig:
 
 @dataclasses.dataclass
 class SearchTree:
-    """One search's tree, which is a path: below the root action, one level of k
-    children per depth, each level expanded from the child that ``path`` picked
-    in the level above.
+    """One search's tree, which is a path: below the root's ``anchor`` (the
+    flattened policy proposal), one level of k children per depth, each level
+    expanded from the child that ``path`` picked in the level above.
 
     ``actions[d]``, ``rewards[d]``, ``visits[d]`` and ``values[d]`` are level d's
     flat lists in expansion order, the actions as lists of Python floats;
@@ -98,12 +94,19 @@ class SearchTree:
     scored, and its count is the sum of the first level's.
     """
 
-    action: list[float]
+    anchor: list[float]
     path: list[int] = dataclasses.field(default_factory=list)
     actions: list[list[list[float]]] = dataclasses.field(default_factory=list)
     rewards: list[list[float]] = dataclasses.field(default_factory=list)
     visits: list[list[int]] = dataclasses.field(default_factory=list)
     values: list[list[float]] = dataclasses.field(default_factory=list)
+
+    @property
+    def action(self) -> np.ndarray:
+        """The rollout rule: the flattened root child with the greatest backed-up
+        value, the lowest index on a tie."""
+        roots = self.values[0]
+        return np.array(self.actions[0][max(range(len(roots)), key=roots.__getitem__)])
 
 
 def expand(anchor: np.ndarray, path: list[int], prior: KdePrior, config: SearchConfig,
@@ -115,8 +118,8 @@ def expand(anchor: np.ndarray, path: list[int], prior: KdePrior, config: SearchC
     replaces the farthest of them so the policy proposal always stays in the
     running. Initial visit counts come from the sampling density. The noise
     ablation samples and weighs with the KDE over the anchor alone, a
-    one-point prior of bandwidth ``noise_sigma`` (the prior's by default), so
-    it differs from the method in the support it draws around and nothing else.
+    one-point prior of the prior's bandwidth, so it differs from the method in
+    the support it draws around and nothing else.
     """
     if anchor.size % ACTION_DIM != 0:
         raise ValueError("anchor length is not a whole number of actions")
@@ -124,8 +127,7 @@ def expand(anchor: np.ndarray, path: list[int], prior: KdePrior, config: SearchC
     bounds = action_bounds(anchor.size // ACTION_DIM)
 
     if config.sampler == "noise":
-        sigma = config.noise_sigma if config.noise_sigma is not None else prior.bandwidth
-        prior = KdePrior(points=anchor[None, :], bandwidth=sigma)
+        prior = KdePrior(points=anchor[None, :], bandwidth=prior.bandwidth)
 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(cands, config.k, anchor)
@@ -201,7 +203,7 @@ class SearchTrace:
 
     @classmethod
     def from_tree(cls, tree: SearchTree) -> "SearchTrace":
-        nodes = [TraceNode(id=0, parent=None, action=tuple(tree.action), reward=None,
+        nodes = [TraceNode(id=0, parent=None, action=tuple(tree.anchor), reward=None,
                            value=None, visits=sum(tree.visits[0]), depth=0)]
 
         def visit(d: int, parent_id: int) -> None:
@@ -220,23 +222,6 @@ class SearchTrace:
         return json.dumps({"nodes": [dataclasses.asdict(n) for n in self.nodes]})
 
 
-@dataclasses.dataclass(frozen=True)
-class SearchResult:
-    """The searched action plus the finished tree it was chosen from.
-
-    ``trace`` flattens the tree through ``SearchTrace.from_tree`` the first
-    time it is read and caches the snapshot; a caller that only needs
-    ``action`` pays nothing for it.
-    """
-
-    action: np.ndarray  # flattened action of the best root child
-    tree: SearchTree
-
-    @functools.cached_property
-    def trace(self) -> SearchTrace:
-        return SearchTrace.from_tree(self.tree)
-
-
 def run_search(
     obs: Observation,
     proposal_chunk: ActionChunk,
@@ -245,15 +230,15 @@ def run_search(
     reward: RewardFn,
     config: SearchConfig,
     seed: int,
-) -> SearchResult:
+) -> SearchTree:
     """One search pass: expand and simulate one level per depth, then back up once.
 
     UCB picks the child to deepen from the level's fresh leaves, whose values
     are their rewards, so one backup after the last level gives exactly what a
-    backup after every child did. The rollout rule returns the root child with
-    maximal value, which either confirms the policy proposal (the anchor is
-    always a root candidate) or overrides it with a nearby action whose
-    lookahead scored better.
+    backup after every child did. The tree's ``action``, its root child with
+    maximal value, either confirms the policy proposal (the anchor is always a
+    root candidate) or overrides it with a nearby action whose lookahead
+    scored better.
     """
     anchor = flatten_chunk(proposal_chunk)
     if prior.dim != anchor.size:
@@ -272,9 +257,7 @@ def run_search(
             tree.path.append(i)
             obs, anchor = states[i], chosen[i]
     backpropagate(tree)
-    roots = tree.values[0]
-    best = max(range(len(roots)), key=roots.__getitem__)  # ties keep the lowest index
-    return SearchResult(action=np.array(tree.actions[0][best]), tree=tree)
+    return tree
 
 
 def act(
@@ -292,6 +275,6 @@ def act(
     if prior is None:
         raise ValueError("a fitted prior is required to search")
     chunk = policy.propose(obs)
-    result = run_search(obs, chunk, prior, world, reward, config, seed)
-    searched = unflatten_chunk(result.action[:ACTION_DIM], 1)
+    tree = run_search(obs, chunk, prior, world, reward, config, seed)
+    searched = unflatten_chunk(tree.action[:ACTION_DIM], 1)
     return ActionChunk((blend_actions(chunk[0], searched[0], config.alpha), *chunk.actions[1:]))

@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .actions import Action, DELTA_LIMIT
+from .actions import Action
 from .errors import require_types
 from .seeding import derive_seed, rng_from
 
@@ -289,11 +289,6 @@ def _transition(obs: Observation, action: Action
     """The parts of ``step``'s next state that change: gripper position, grip,
     held object, objects and waypoints hit."""
     dx, dy, dz = action.delta
-    if abs(dx) > DELTA_LIMIT or abs(dy) > DELTA_LIMIT or abs(dz) > DELTA_LIMIT:
-        raise ValueError("action delta outside the per-step bound")
-    if not 0.0 <= action.grip <= 1.0:
-        raise ValueError("action grip outside [0, 1]")
-
     px, py, pz = obs.gripper_pos
     gp = (_clip01(px + dx), _clip01(py + dy), _clip01(pz + dz))
 

@@ -62,8 +62,7 @@ def expand(node, prior, config, seed):
     rng_seed = derive_seed(seed, "expand", node.depth, *node.path())
     bounds = action_bounds(anchor.size // ACTION_DIM)
     if config.sampler == "noise":
-        sigma = config.noise_sigma if config.noise_sigma is not None else prior.bandwidth
-        prior = KdePrior(points=anchor[None, :], bandwidth=sigma)
+        prior = KdePrior(points=anchor[None, :], bandwidth=prior.bandwidth)
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(cands, config.k, anchor)
     chosen[-1] = anchor  # anchor injection

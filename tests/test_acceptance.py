@@ -23,7 +23,7 @@ from lookahead.actions import flatten_chunk, unflatten_chunk
 from lookahead.kde import density, fit_kde, sample, top_k_near
 from lookahead.policies import DriftPolicy, PolicyParams, expert_action
 from lookahead.reward import FrameBankScorer, LabeledFrame, fit_reward, label_progress
-from lookahead.search import SearchConfig, SearchTree, backpropagate, run_search, select_ucb
+from lookahead.search import SearchConfig, SearchTrace, SearchTree, backpropagate, run_search, select_ucb
 from lookahead.seeding import derive_seed
 from lookahead.world import render_features
 
@@ -146,7 +146,7 @@ def test_criterion_2_oracle_equivalence(stack_task, prior, demos, run_config):
         reward_fn = lambda o: math.exp(-math.dist(o.gripper_pos, target))  # noqa: B023
         chunk = ExpertPolicy().propose(obs)
         res = run_search(obs, chunk, prior, la.step, reward_fn, cfg, seed=seed)
-        kids = [nd for nd in res.trace.nodes if nd.depth == 1]
+        kids = [nd for nd in SearchTrace.from_tree(res).nodes if nd.depth == 1]
         scores = [reward_fn(la.step(obs, unflatten_chunk(np.asarray(nd.action), 1)[0]))
                   for nd in kids]
         best = kids[int(np.argmax(scores))]
@@ -352,6 +352,6 @@ def test_criterion_8_determinism(benchmark_report, run_config, prior,
     r0 = run_search(obs, chunk, prior, la.step, fn, run_config.search, seed=78)
     r1 = run_search(obs, chunk, prior, la.step, fn, run_config.search, seed=78)
     assert np.array_equal(r0.action, r1.action)
-    assert r0.trace.to_json() == r1.trace.to_json()
+    assert SearchTrace.from_tree(r0).to_json() == SearchTrace.from_tree(r1).to_json()
 
     print("\ncriterion 8: reports byte-identical across re-runs and worker counts")

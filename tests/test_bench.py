@@ -113,7 +113,6 @@ def _task_of(kind):
     (PolicyParams, "eta", "a number"),
     (PolicyParams, "sigma", "a number"),
     *((la.SearchConfig, name, "a number") for name in ("c", "alpha", "epsilon_model")),
-    (la.SearchConfig, "noise_sigma", "a number or null"),
     (lambda **kw: la.TaskSpec(kind=la.Stack(), **kw), "tolerance", "a number"),
     (_task_of(la.PickPlace), "zone_radius", "a number"),
     (_task_of(la.FollowCircle), "radius", "a number"),
@@ -180,7 +179,7 @@ def test_float_fields_accept_ints_and_keep_them():
     doc = {
         "task": {"kind": "pick-place", "zone_center": [1, 0, 0], "zone_radius": 1, "tolerance": 1},
         "policy": {"eta": 0, "sigma": 1},
-        "search": {"c": 1, "alpha": 1, "epsilon_model": 0, "noise_sigma": 1},
+        "search": {"c": 1, "alpha": 1, "epsilon_model": 0},
         "prior": {"bandwidth": 1},
         "reward": {"ridge_lambda": 2},
         "sweeps": {"alphas": [0, 1], "epsilons": [0]},
@@ -609,13 +608,11 @@ def test_arms_are_functions_of_their_config(benchmark_4, run_config, prior, rewa
         assert _episodes(report.arm("baseline")) == _episodes(benchmark_4.arm("baseline"))
 
 
-def test_noise_arm_runs_the_configured_sigma(run_config, prior, reward_model):
+def test_noise_arm_runs_the_noise_sampler(run_config, prior, reward_model):
     cfg = dataclasses.replace(run_config, n_episodes=4)
-    cfg = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search, noise_sigma=0.03))
     ablation = la.ablate_sampling(cfg, prior, reward_model, workers=1)
     noise = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search, sampler="noise"))
     benchmark = la.run_benchmark(noise, prior, reward_model, workers=1)
-    assert ablation.to_json_dict()["config"]["search"]["noise_sigma"] == 0.03
     assert _episodes(ablation.arm("noise")) == _episodes(benchmark.arm("reasoner"))
 
 
@@ -625,11 +622,11 @@ def test_noise_arm_runs_the_configured_sigma(run_config, prior, reward_model):
 # for each protocol at the shipped config with 4 episodes per arm. A change
 # that moves one of these changes what some report says; it must say why.
 REPORT_DIGESTS = {
-    "run_benchmark": "6db51b082bc61fa6d6233a81042b02ecb41fa82c43c2e0d5d6976a00ef766543",
-    "sweep_alpha": "0690045bcf0cf295bf3cfaa83e13a3834a5b303e379d4279b8dd6ffb6489421f",
-    "ablate_sampling": "f2b907bb060ac5bdc7060b8a00401de6d9e96a948e2bbc0bf04b3040cbf71091",
-    "ablate_reward": "de9ca5c03c60c7ce458eaeb413909c7535031fc4f46af17b32e050aaf69281af",
-    "sweep_model_error": "9a99b4ec4e4d98c0e2c64680f56820fca8d28bbf824e71d83a039a91a9441f57",
+    "run_benchmark": "b90ad4786d58fcc0a9c23df6d6d0ea9d56f8d4d37f0462bd9617d7954484ac37",
+    "sweep_alpha": "b8bd480ef12604d9574771a7d932830f5ca45d50352885646c057dae246095f0",
+    "ablate_sampling": "499b0ec582a4b1f5375c317259c736e26c0cb79817792db3bd1fe3ae98d0dfaa",
+    "ablate_reward": "4bd812732cb650c9ea84f517efd433bfecc45eea27da01d522403802d4afc647",
+    "sweep_model_error": "cfff7bad917b68eaccf3b5f0be093f0992750c0f8b27e3a6341cab21be4f9cf7",
 }
 
 

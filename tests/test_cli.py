@@ -138,6 +138,13 @@ def test_invalid_config_exits_two(tmp_path):
         main(["run", "--config", str(bad_json)])
     assert exc.value.code == 2
 
+    latin_1 = tmp_path / "latin_1.json"
+    doc = dict(TINY, task={"kind": "stäck"})
+    latin_1.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(latin_1)])
+    assert exc.value.code == 2
+
     bad_value = tmp_path / "bad_value.json"
     doc = dict(TINY, bench={"n_episodes": 0})
     bad_value.write_text(json.dumps(doc), encoding="utf-8")
@@ -170,6 +177,7 @@ def test_invalid_config_exits_two(tmp_path):
     (dict(TINY, prior={"bandwidth": "scott"}), "prior_bandwidth must be a number, got 'scott'"),
     (dict(TINY, search={"invoke_period": 1}), "unknown key 'invoke_period' in config section 'search'"),
     (dict(TINY, search={"blend_chunk": "first"}), "unknown key 'blend_chunk' in config section 'search'"),
+    (dict(TINY, search={"noise_sigma": 0.01}), "unknown key 'noise_sigma' in config section 'search'"),
 ])
 def test_unknown_config_keys_exit_two(tmp_path, monkeypatch, capsys, doc, named):
     cfg = tmp_path / "config.json"
@@ -222,9 +230,6 @@ def test_bad_sweep_point_exits_two_before_any_episode(workdir, monkeypatch, caps
     ({"policy": {"chunk_len": 2}}, "prior dimension 4 does not match chunk_len 2"),
     ({"task": {"kind": "pick-place"}},
      "reward model with 21 feature weights does not match task 'pick-place' (15 features)"),
-    # every protocol builds the noise arm's one-point prior before its first episode
-    ({"search": {"noise_sigma": 1e-90}},
-     "bandwidth 1e-90 is too small for dimension 4: h ** -4 overflows"),
 ])
 def test_mismatched_artifacts_exit_one_before_any_episode(workdir, monkeypatch, capsys,
                                                           command, change, named):
@@ -297,6 +302,15 @@ def _with_entry(key, index, value):
     return apply
 
 
+def _edit_demo_line(number, edit):
+    """An edit of a demo file's text that applies ``edit`` to the bytes of its line ``number``."""
+    def apply(text):
+        lines = text.encode("utf-8").split(b"\n")
+        lines[number - 1] = edit(lines[number - 1])
+        return b"\n".join(lines)
+    return apply
+
+
 @pytest.mark.parametrize("name, edit, named", [
     ("prior.json", _without("bandwidth"), "DataError: {path}: missing key 'bandwidth'"),
     ("prior.json", lambda text: "[1, 2]", "DataError: {path} must be a JSON object, got list"),
@@ -331,6 +345,17 @@ def _with_entry(key, index, value):
      "DataError: {path}: 'weights' entry 0 must be a number, got True"),
     ("reward.json", _with_entry("weights", (1,), "x"),
      "DataError: {path}: 'weights' entry 1 must be a number, got 'x'"),
+    ("prior.json", lambda text: text[:100], "DataError: {path}: not valid JSON: "),
+    ("reward.json", lambda text: text.replace(",", "", 1), "DataError: {path}: not valid JSON: "),
+    ("demos.jsonl", _edit_demo_line(3, lambda line: b"{not json"),
+     "DataError: {path} line 3: not valid JSON: "
+     "Expecting property name enclosed in double quotes at char 1"),
+    ("prior.json", lambda text: b"\xff" + text.encode("utf-8"),
+     "DataError: {path}: not UTF-8 text: invalid start byte at byte 0"),
+    ("reward.json", lambda text: text.encode("utf-16"),
+     "DataError: {path}: not UTF-8 text: invalid start byte at byte 0"),
+    ("demos.jsonl", _edit_demo_line(3, lambda line: line.replace(b"stack", b"st\xe4ck", 1)),
+     "DataError: {path} line 3: not UTF-8 text: invalid continuation byte at byte"),
 ])
 def test_malformed_artifact_exits_one_before_any_episode(workdir, tmp_path, monkeypatch, capsys,
                                                          name, edit, named):
@@ -344,7 +369,7 @@ def test_malformed_artifact_exits_one_before_any_episode(workdir, tmp_path, monk
             edited = edit(text)
             assert edited != text
             text = edited
-        (bad / artifact).write_text(text, encoding="utf-8")
+        (bad / artifact).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     episodes = []
     monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
     assert main(["ablate-reward", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
@@ -446,6 +471,26 @@ def test_tiny_prior_bandwidth_fails_fit_prior(workdir, tmp_path, capsys):
     assert main(["fit-prior", "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
     assert "ValueError: bandwidth 1e-90 is too small for dimension 4" in capsys.readouterr().err
     assert not (bad / "prior.json").exists()
+
+
+@pytest.mark.parametrize("command", list(EVALUATIONS))
+def test_tiny_stored_bandwidth_exits_one_before_any_episode(workdir, tmp_path, monkeypatch,
+                                                            capsys, command):
+    # the stored bandwidth is also the noise arm's width, so no protocol starts on one
+    # that overflows
+    _, cfg, out = workdir
+    bad = tmp_path / "out"
+    bad.mkdir()
+    for name in ("demos.jsonl", "reward.json"):
+        (bad / name).write_bytes((out / name).read_bytes())
+    prior = json.loads((out / "prior.json").read_text(encoding="utf-8"))
+    (bad / "prior.json").write_text(json.dumps(dict(prior, bandwidth=1e-90)), encoding="utf-8")
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: episodes.append(a))
+    assert main([command, "--config", str(cfg), "--out", str(bad), "--quiet"]) == 1
+    assert ("ValueError: bandwidth 1e-90 is too small for dimension 4: h ** -4 overflows"
+            in capsys.readouterr().err)
+    assert episodes == []
 
 
 def test_readme_names_resolve_on_the_package():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lookahead as la
-from lookahead.errors import DataError
+from lookahead.errors import DataError, parse_object
 from lookahead.records import (
     EpisodeResult,
     Trajectory,
@@ -232,3 +232,20 @@ def test_malformed_record_is_a_named_data_error(tmp_path, stack_task, case):
         la.load_demos(path)
     assert str(err.value) == f"{path} line 2{named}"
 
+
+
+def test_parse_object_returns_the_object():
+    assert parse_object(b'{"a": 1, "b": [2]}', ("a", "b"), "f.json") == {"a": 1, "b": [2]}
+
+
+@pytest.mark.parametrize("data, named", [
+    (b'{"a": 1', "f.json: not valid JSON: Expecting ',' delimiter at char 7"),
+    (b"", "f.json: not valid JSON: Expecting value at char 0"),
+    (b'{"a": "\xe4"}', "f.json: not UTF-8 text: invalid continuation byte at byte 7"),
+    (b"[1]", "f.json must be a JSON object, got list"),
+    (b'{"a": 1}', "f.json: missing key 'b'"),
+])
+def test_parse_object_names_its_source_and_the_fault(data, named):
+    with pytest.raises(DataError) as err:
+        parse_object(data, ("a", "b"), "f.json")
+    assert str(err.value) == named

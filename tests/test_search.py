@@ -101,7 +101,6 @@ def test_config_defaults_are_valid():
     dict(visit_budget=4, k=8),
     dict(epsilon_model=-0.01),
     dict(sampler="magic"),
-    dict(noise_sigma=0.0),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -109,8 +108,7 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_config_dict_round_trip():
-    cfg = SearchConfig(k=4, pool_size=32, alpha=0.3, sampler="noise",
-                       noise_sigma=0.02)
+    cfg = SearchConfig(k=4, pool_size=32, alpha=0.3, sampler="noise")
     assert la.RunConfig.from_dict({"search": cfg.to_dict()}).search == cfg
 
 
@@ -155,18 +153,17 @@ def _noise_expand_reference(anchor, path, sigma, config, seed):
 
 
 @pytest.mark.parametrize("chunk_len", [1, 4])
-@pytest.mark.parametrize("noise_sigma", [None, 0.003, 0.03])
-def test_noise_expand_matches_the_reference_path(stack_task, demos, chunk_len, noise_sigma):
-    prior = la.demo_prior(demos, chunk_len=chunk_len, bandwidth=0.01)
-    sigma = prior.bandwidth if noise_sigma is None else noise_sigma
-    cfg = SearchConfig(sampler="noise", noise_sigma=noise_sigma)
+@pytest.mark.parametrize("bandwidth", [0.003, 0.01, 0.03])
+def test_noise_expand_matches_the_reference_path(stack_task, demos, chunk_len, bandwidth):
+    prior = la.demo_prior(demos, chunk_len=chunk_len, bandwidth=bandwidth)
+    cfg = SearchConfig(sampler="noise")
     for seed in range(6):
         obs = la.reset(stack_task, seed)
         anchor = flatten_chunk(ExpertPolicy(chunk_len=chunk_len).propose(obs))
         kids, _ = expand(anchor, [], prior, cfg, seed)
         i = seed % cfg.k  # a node below the root: its seed depends on its path
         for node_anchor, path in ((anchor, []), (kids[i], [i])):
-            chosen, visits = _noise_expand_reference(node_anchor, path, sigma, cfg, seed)
+            chosen, visits = _noise_expand_reference(node_anchor, path, prior.bandwidth, cfg, seed)
             got, got_visits = expand(node_anchor, path, prior, cfg, seed)
             assert got.tobytes() == chosen.tobytes()
             assert got_visits == visits
@@ -415,6 +412,18 @@ def test_ucb_exact_tie_keeps_lowest_index():
     assert select_ucb([0.5, 0.5, 0.5], [4, 4, 4], 0.7) == 0
 
 
+@pytest.mark.parametrize("values, best", [
+    ([0.2, 0.7, 0.1, 0.7], 1),  # root children 1 and 3 tie at the greatest value
+    ([0.5, 0.5, 0.5, 0.5], 0),
+    ([-0.3, -0.2, -0.4, -0.1], 3),
+    ([0.9, 0.1, 0.9, 0.2], 0),
+])
+def test_tree_action_is_the_lowest_index_best_root_child(values, best):
+    tree = SearchTree(NO_ACTION, [], [[[float(j), 0.0, 0.0, 0.0] for j in range(4)]],
+                      [list(values)], [[1, 1, 1, 1]], [list(values)])
+    assert tree.action.tolist() == [float(best), 0.0, 0.0, 0.0]
+
+
 # --- run_search -----------------------------------------------------------
 
 
@@ -435,9 +444,9 @@ def test_search_determinism_including_trace(stack_task, prior, reward_model):
     a = run_search(obs, chunk, prior, la.step, reward_fn, SearchConfig(), seed=23)
     b = run_search(obs, chunk, prior, la.step, reward_fn, SearchConfig(), seed=23)
     assert np.array_equal(a.action, b.action)
-    assert a.trace.to_json() == b.trace.to_json()
+    assert SearchTrace.from_tree(a).to_json() == SearchTrace.from_tree(b).to_json()
     c = run_search(obs, chunk, prior, la.step, reward_fn, SearchConfig(), seed=24)
-    assert a.trace.to_json() != c.trace.to_json()
+    assert SearchTrace.from_tree(a).to_json() != SearchTrace.from_tree(c).to_json()
 
 
 def test_search_two_leaf_exhaustive_oracle(stack_task, prior):
@@ -448,7 +457,7 @@ def test_search_two_leaf_exhaustive_oracle(stack_task, prior):
         reward_fn = _goal_reward(obs, la.Action((0.02, -0.01, 0.01), 0.0))
         chunk = ExpertPolicy().propose(obs)
         res = run_search(obs, chunk, prior, la.step, reward_fn, cfg, seed=seed)
-        kids = [n for n in res.trace.nodes if n.depth == 1]
+        kids = [n for n in SearchTrace.from_tree(res).nodes if n.depth == 1]
         assert len(kids) == 2
         scores = []
         for n in kids:
@@ -465,11 +474,12 @@ def test_search_trace_satisfies_backup_equation(stack_task, prior, reward_model)
     chunk = ExpertPolicy().propose(obs)
     reward_fn = lambda o: la.predict_reward(reward_model, o)
     res = run_search(obs, chunk, prior, la.step, reward_fn, SearchConfig(), seed=26)
+    nodes = SearchTrace.from_tree(res).nodes
     kids = defaultdict(list)
-    for n in res.trace.nodes:
+    for n in nodes:
         if n.parent is not None:
             kids[n.parent].append(n)
-    for n in res.trace.nodes:
+    for n in nodes:
         ch = kids[n.id]
         if not ch:
             continue
@@ -489,9 +499,10 @@ def test_search_tree_size_and_root_candidates(stack_task, prior, reward_model):
     reward_fn = lambda o: la.predict_reward(reward_model, o)
     cfg = SearchConfig()
     res = run_search(obs, chunk, prior, la.step, reward_fn, cfg, seed=28)
-    assert len(res.trace.nodes) == cfg.k * cfg.max_depth + 1
-    assert len(res.tree.actions) == cfg.max_depth and len(res.tree.path) == cfg.max_depth - 1
-    roots = [n for n in res.trace.nodes if n.depth == 1]
+    nodes = SearchTrace.from_tree(res).nodes
+    assert len(nodes) == cfg.k * cfg.max_depth + 1
+    assert len(res.actions) == cfg.max_depth and len(res.path) == cfg.max_depth - 1
+    roots = [n for n in nodes if n.depth == 1]
     assert any(np.array_equal(np.asarray(n.action), anchor) for n in roots)
 
 
@@ -505,7 +516,7 @@ def test_search_reward_shift_invariance(stack_task, prior):
     r0 = run_search(obs, chunk, prior, la.step, base, cfg, seed=30)
     r1 = run_search(obs, chunk, prior, la.step, shifted, cfg, seed=30)
     assert np.array_equal(r0.action, r1.action)
-    for n0, n1 in zip(r0.trace.nodes, r1.trace.nodes):
+    for n0, n1 in zip(SearchTrace.from_tree(r0).nodes, SearchTrace.from_tree(r1).nodes):
         assert n0.action == n1.action
         if n0.parent is not None:  # the root is not scored
             assert abs(n1.value - n0.value - 0.3) <= 1e-9
@@ -523,18 +534,19 @@ def test_search_value_bounded_by_subtree_rewards(stack_task, prior, reward_model
     chunk = ExpertPolicy().propose(obs)
     reward_fn = lambda o: la.predict_reward(reward_model, o)
     res = run_search(obs, chunk, prior, la.step, reward_fn, SearchConfig(), seed=34)
+    nodes = SearchTrace.from_tree(res).nodes
     kids = defaultdict(list)
-    for n in res.trace.nodes:
+    for n in nodes:
         if n.parent is not None:
             kids[n.parent].append(n)
 
     def subtree(nid):
-        out = [next(n for n in res.trace.nodes if n.id == nid).reward]
+        out = [next(n for n in nodes if n.id == nid).reward]
         for c in kids[nid]:
             out.extend(subtree(c.id))
         return out
 
-    for n in res.trace.nodes[1:]:  # the root is not scored
+    for n in nodes[1:]:  # the root is not scored
         rs = subtree(n.id)
         assert min(rs) - 1e-12 <= n.value <= max(rs) + 1e-12
 
@@ -574,8 +586,9 @@ def test_search_matches_the_scalar_reference(demos, reward_model, monkeypatch, s
         res = run_search(obs, chunk, prior, world, reward_fn, config, seed)
         assert res.action.tobytes() == action.tobytes()
         root = dataclasses.replace(trace.nodes[0], reward=None, value=None)
-        assert res.trace == SearchTrace(nodes=(root, *trace.nodes[1:]))
-        assert res.trace.to_json() == SearchTrace(nodes=(root, *trace.nodes[1:])).to_json()
+        got = SearchTrace.from_tree(res)
+        assert got == SearchTrace(nodes=(root, *trace.nodes[1:]))
+        assert got.to_json() == SearchTrace(nodes=(root, *trace.nodes[1:])).to_json()
 
 
 @pytest.mark.parametrize("max_depth", [1, 3])
@@ -592,10 +605,10 @@ def test_search_selects_only_the_nodes_it_deepens(stack_task, prior, reward_mode
     res = run_search(obs, ExpertPolicy().propose(obs), prior, la.step, reward_fn,
                      SearchConfig(max_depth=max_depth), seed=55)
     assert len(picks) == max_depth - 1  # no pick after the last level
-    assert backups == [res.tree]  # one backup per search, after the last level
+    assert backups == [res]  # one backup per search, after the last level
 
 
-def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model, monkeypatch):
+def test_trace_is_built_only_when_read(stack_task, prior, reward_model, monkeypatch):
     built = []
     eager = SearchTrace.from_tree.__func__
 
@@ -611,10 +624,8 @@ def test_trace_is_built_once_and_only_when_read(stack_task, prior, reward_model,
         act(obs, pol, prior, la.step, reward_fn, SearchConfig(), seed=53)
     res = run_search(obs, pol.propose(obs), prior, la.step, reward_fn, SearchConfig(), seed=53)
     assert built == []  # acting and searching never flatten the tree
-    first = res.trace
-    assert built == [res.tree]
-    assert res.trace is first  # cached after the first read
-    assert len(built) == 1
+    SearchTrace.from_tree(res)
+    assert built == [res]
 
 
 # --- act ------------------------------------------------------------------
