@@ -116,7 +116,10 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(message)s", stream=sys.stderr)
     config = _load_config(parser, args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # it, or a parent, is a file
+        parser.error(f"--out {out} cannot be a directory: {exc.strerror}")
 
     try:
         if args.command == "gen-data":

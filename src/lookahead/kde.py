@@ -69,7 +69,7 @@ class KdePrior:
     def __post_init__(self) -> None:
         require_types(self)
         pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2 or 0 in pts.shape:  # at least one point of at least one coordinate
             raise ValueError("support points must form a non-empty (n, d) matrix")
         if not np.isfinite(pts).all():
             raise ValueError("support points must be finite")

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import operator
 import struct
 from typing import Iterable, Union
 
@@ -21,13 +23,18 @@ import numpy as np
 
 from .actions import Action
 from .errors import require_types
-from .seeding import derive_seed, rng_from
+# world.derive_seed stays importable: perfbench's tracer patches it
+from .seeding import derive_seed, encode_part, rng_from, seed_from_encoded  # noqa: F401
 
 GRASP_RADIUS = 0.03  # closing within this distance of a center attaches the object
 OBJECT_HALF_SIZE = 0.02
 HOME_POSE = (0.5, 0.5, 0.25)
 RESET_JITTER = 0.03  # +/- uniform horizontal jitter applied to nominal layouts
 _Z_ATOL = 1e-9  # resting heights are computed analytically, so exact up to float noise
+_MODEL_PART = encode_part("model")  # the first part of every world-model key
+# an episode keys all its transitions with one model seed. Only int seeds are
+# cached: a cache keyed by value would give 0.0 and -0.0, or 1 and True, one entry
+_seed_part = functools.lru_cache(maxsize=64)(encode_part)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,35 +275,33 @@ def _clip01(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def _settle(me: ObjectState, supports: Iterable[ObjectState], tolerance: float) -> ObjectState:
-    """Resting state for ``me`` at its current (x, y).
+def _settle(x: float, y: float, half_size: float, supports: Iterable[ObjectState],
+            tolerance: float) -> ObjectState:
+    """Resting state of a block of ``half_size`` released at (x, y).
 
     Within horizontal tolerance of a support block it rests on the highest
     such top, otherwise it drops to the table. z = support top + half_size.
     """
-    x, y = me.pos[0], me.pos[1]
     support_top = 0.0
     for other in supports:
         if math.hypot(other.pos[0] - x, other.pos[1] - y) <= tolerance:
             top = other.pos[2] + other.half_size
             if top > support_top:
                 support_top = top
-    return ObjectState((x, y, support_top + me.half_size), me.half_size)
+    return ObjectState((x, y, support_top + half_size), half_size)
 
 
 def _transition(obs: Observation, action: Action
                 ) -> tuple[tuple[float, float, float], bool, int | None, list[ObjectState], int]:
     """The parts of ``step``'s next state that change: gripper position, grip,
-    held object, objects and waypoints hit."""
+    held object, objects and waypoints hit. The held object's entry is left as
+    it was: the caller attaches it to the gripper's final position."""
     dx, dy, dz = action.delta
     px, py, pz = obs.gripper_pos
     gp = (_clip01(px + dx), _clip01(py + dy), _clip01(pz + dz))
 
     objects = list(obs.objects)
     held = obs.held_object
-    if held is not None:
-        objects[held] = ObjectState(gp, objects[held].half_size)
-
     closed_now = action.grip_closed
     if closed_now and not obs.grip_closed and held is None:
         # grasp: nearest object center within reach attaches; ties go to the
@@ -308,10 +313,9 @@ def _transition(obs: Observation, action: Action
                 best, best_d = i, d
         if best is not None:
             held = best
-            objects[held] = ObjectState(gp, objects[held].half_size)
     elif not closed_now and obs.grip_closed and held is not None:
         others = [o for i, o in enumerate(objects) if i != held]
-        objects[held] = _settle(objects[held], others, obs.task.tolerance)
+        objects[held] = _settle(gp[0], gp[1], objects[held].half_size, others, obs.task.tolerance)
         held = None
 
     hit = obs.waypoints_hit
@@ -325,6 +329,8 @@ def _transition(obs: Observation, action: Action
 def step(obs: Observation, action: Action) -> Observation:
     """One transition. Pure: same (obs, action) always yields the same state."""
     gp, closed, held, objects, hit = _transition(obs, action)
+    if held is not None:
+        objects[held] = ObjectState(gp, objects[held].half_size)  # held rides the gripper
     # positional, in field order: cheaper than keywords on the hot path
     return Observation(gp, closed, held, tuple(objects), obs.task, obs.step_index + 1, hit)
 
@@ -348,47 +354,42 @@ def is_success(obs: Observation) -> bool:
     return obs.waypoints_hit >= kind.n_waypoints
 
 
-def _resettle_free(objects: list[ObjectState], held: int | None, tolerance: float) -> list[ObjectState]:
-    # process free objects bottom-up so each rests on already-settled ones
-    order = sorted((i for i in range(len(objects)) if i != held),
-                   key=lambda i: objects[i].pos[2])
-    settled: dict[int, ObjectState] = {}
-    for idx in order:
-        settled[idx] = _settle(objects[idx], settled.values(), tolerance)
-    out = list(objects)
-    for idx, st in settled.items():
-        out[idx] = st
-    return out
-
-
 def imperfect_step(obs: Observation, action: Action, epsilon: float, model_seed: int) -> Observation:
     """``step`` plus a deterministic perturbation of up to epsilon per coordinate.
 
-    The perturbation is keyed by a stable hash of (obs, action, model_seed),
-    so re-simulating the same transition always lands on the same state, in
-    any process. epsilon = 0 short-circuits to the exact ``step``.
+    The perturbation is keyed by ``derive_seed("model", obs.canonical_bytes(),
+    <action bytes>, model_seed)``, so re-simulating the same transition always
+    lands on the same state, in any process. The held block rides the perturbed
+    gripper; the free blocks settle bottom-up at their perturbed (x, y), each
+    onto those already settled. epsilon = 0 short-circuits to the exact ``step``.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     if epsilon == 0.0:
         return step(obs, action)
     gp, closed, held, objects, hit = _transition(obs, action)
-    key = derive_seed("model", obs.canonical_bytes(),
-                      struct.pack(">4d", *action.delta, action.grip), model_seed)
+    # derive_seed's key, hashed once, with "model" encoded ahead and the seed cached
+    key = seed_from_encoded(b"".join((
+        _MODEL_PART,
+        encode_part(obs.canonical_bytes()),
+        encode_part(struct.pack(">4d", *action.delta, action.grip)),
+        _seed_part(model_seed) if type(model_seed) is int else encode_part(model_seed),
+    )))
     rng = np.random.default_rng(key)
     # as Python floats: the same IEEE sums, and the state keeps plain floats
     off = rng.uniform(-epsilon, epsilon, size=3 + 3 * len(objects)).tolist()
-    gp = (_clip01(gp[0] + off[0]), _clip01(gp[1] + off[1]), _clip01(gp[2] + off[2]))
-    for i, o in enumerate(objects):
-        if i == held:
-            objects[i] = ObjectState(gp, o.half_size)  # held rides the gripper
-            continue
-        j = 3 + 3 * i
-        objects[i] = ObjectState(
-            (_clip01(o.pos[0] + off[j]), _clip01(o.pos[1] + off[j + 1]), _clip01(o.pos[2] + off[j + 2])),
-            o.half_size,
-        )
-    objects = _resettle_free(objects, held, obs.task.tolerance)
+    # _clip01 of every perturbed coordinate, gripper first, written out inline
+    pos = [0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+           for v in map(operator.add, itertools.chain(gp, *(o.pos for o in objects)), off)]
+    gp = (pos[0], pos[1], pos[2])
+    tolerance = obs.task.tolerance
+    settled: list[ObjectState] = []
+    # bottom-up by perturbed height, ties in index order
+    for _, i in sorted((pos[5 + 3 * i], i) for i in range(len(objects)) if i != held):
+        objects[i] = _settle(pos[3 + 3 * i], pos[4 + 3 * i], objects[i].half_size, settled, tolerance)
+        settled.append(objects[i])
+    if held is not None:
+        objects[held] = ObjectState(gp, objects[held].half_size)  # held rides the gripper
     return Observation(gp, closed, held, tuple(objects), obs.task, obs.step_index + 1, hit)
 
 

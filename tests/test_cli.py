@@ -131,6 +131,21 @@ def test_usage_errors_exit_two(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, out):
+    # --out names an existing file, or a path below one: nothing is written
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY), encoding="utf-8")
+    (tmp_path / "afile").write_bytes(b"kept")
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"])
+    assert exc.value.code == 2
+    assert f"--out {tmp_path / out} cannot be a directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_bytes() == b"kept"
+
+
 def test_invalid_config_exits_two(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
@@ -356,6 +371,8 @@ def _edit_demo_line(number, edit):
      "DataError: {path}: not UTF-8 text: invalid start byte at byte 0"),
     ("demos.jsonl", _edit_demo_line(3, lambda line: line.replace(b"stack", b"st\xe4ck", 1)),
      "DataError: {path} line 3: not UTF-8 text: invalid continuation byte at byte"),
+    ("prior.json", lambda text: '{"dim": 0, "bandwidth": 0.01, "points": [[], []]}',
+     "ValueError: support points must form a non-empty (n, d) matrix"),
 ])
 def test_malformed_artifact_exits_one_before_any_episode(workdir, tmp_path, monkeypatch, capsys,
                                                          name, edit, named):

@@ -341,6 +341,13 @@ def test_prior_rejects_a_bandwidth_whose_normalizer_overflows():
     assert values[1] == 0.0
 
 
+@pytest.mark.parametrize("points", [np.zeros((2, 0)), [[], []], np.zeros((0, 4)), [], [0.5, 1.0]])
+def test_prior_rejects_a_support_that_is_not_a_non_empty_matrix(points):
+    # no points, or points of no coordinates, or not a matrix
+    with pytest.raises(ValueError, match=r"^support points must form a non-empty \(n, d\) matrix$"):
+        KdePrior(points=points, bandwidth=0.1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_prior_rejects_non_finite_support(bad):
     with pytest.raises(ValueError, match="support points must be finite"):

@@ -17,7 +17,6 @@ from lookahead.world import (
     OBJECT_HALF_SIZE,
     Observation,
     ObjectState,
-    _resettle_free,
     _Z_ATOL,
     feature_length,
     render_features,
@@ -68,6 +67,32 @@ def validate_observation(obs: Observation) -> None:
                 raise ValueError(f"objects {free[a_i]} and {free[b_i]} interpenetrate")
 
 
+def _settle_reference(me, supports, tolerance):
+    """``me`` at its (x, y), resting on the highest support top within tolerance, or the table."""
+    x, y = me.pos[0], me.pos[1]
+    support_top = 0.0
+    for other in supports:
+        if math.hypot(other.pos[0] - x, other.pos[1] - y) <= tolerance:
+            top = other.pos[2] + other.half_size
+            if top > support_top:
+                support_top = top
+    return ObjectState((x, y, support_top + me.half_size), me.half_size)
+
+
+def _resettle_free_reference(objects, held, tolerance):
+    """The free objects re-settled bottom-up, each onto those already settled,
+    in two passes: a stable sort by height, then one settle per object."""
+    order = sorted((i for i in range(len(objects)) if i != held),
+                   key=lambda i: objects[i].pos[2])
+    settled = {}
+    for idx in order:
+        settled[idx] = _settle_reference(objects[idx], settled.values(), tolerance)
+    out = list(objects)
+    for idx, st in settled.items():
+        out[idx] = st
+    return out
+
+
 def _imperfect_step_reference(obs, action, epsilon, model_seed):
     """``imperfect_step`` as first written: a full ``step``, then its perturbed copy."""
     base = la.step(obs, action)
@@ -86,7 +111,7 @@ def _imperfect_step_reference(obs, action, epsilon, model_seed):
             continue
         objects.append(ObjectState(tuple(clip(o.pos[d] + off[3 + 3 * i + d]) for d in range(3)),
                                    o.half_size))
-    objects = _resettle_free(objects, base.held_object, obs.task.tolerance)
+    objects = _resettle_free_reference(objects, base.held_object, obs.task.tolerance)
     return dataclasses.replace(base, gripper_pos=gp, objects=tuple(objects))
 
 
@@ -313,6 +338,86 @@ def test_imperfect_step_matches_the_full_step_reference(kind):
             want = _imperfect_step_reference(obs, a, eps, trial)
             assert got == want and got.canonical_bytes() == want.canonical_bytes()
             obs = got
+    if not isinstance(kind, la.Stack):
+        return
+    # the settle order: a height tie, a block resting on another, a release onto a stack
+    for obs, a in _settle_order_cases(task):
+        for eps in (0.02, 0.05, 0.3):
+            for seed in range(60):
+                got = la.imperfect_step(obs, a, eps, seed)
+                want = _imperfect_step_reference(obs, a, eps, seed)
+                assert got == want and got.canonical_bytes() == want.canonical_bytes()
+
+
+def _model_key(obs, action, model_seed):
+    return la.derive_seed("model", obs.canonical_bytes(),
+                          struct.pack(">4d", *action.delta, action.grip), model_seed)
+
+
+def _stack_state(task, gripper_pos, held, positions):
+    """A stack state at step 5 whose grip is closed exactly when a block is held."""
+    return Observation(gripper_pos, held is not None, held,
+                       tuple(ObjectState(p, OBJECT_HALF_SIZE) for p in positions), task, 5)
+
+
+def _settle_order_cases(task):
+    """(state, action) pairs whose perturbed free blocks settle onto one another."""
+    away = la.Action((0.01, 0.0, 0.0), 0.0)
+    return [
+        # two table blocks within tolerance: at eps 0.05 each height clips to 0.0 w.p. 0.3
+        (_stack_state(task, (0.7, 0.7, 0.2), None, [(0.40, 0.5, 0.02), (0.43, 0.5, 0.02)]), away),
+        # block 1 resting on block 0
+        (_stack_state(task, (0.7, 0.7, 0.2), None, [(0.40, 0.5, 0.02), (0.40, 0.5, 0.06)]), away),
+        # block 1 held above block 0 and released onto it
+        (_stack_state(task, (0.41, 0.5, 0.07), 1, [(0.40, 0.5, 0.02), (0.41, 0.5, 0.07)]),
+         la.Action((0.0, 0.0, 0.0), 0.0)),
+    ]
+
+
+def test_imperfect_step_settles_a_height_tie_in_index_order(stack_task):
+    obs, a = _settle_order_cases(stack_task)[0]
+    tol, h = stack_task.tolerance, OBJECT_HALF_SIZE
+    ties = 0
+    for seed in range(200):
+        off = np.random.default_rng(_model_key(obs, a, seed)).uniform(-0.05, 0.05, size=9).tolist()
+        nxt = la.imperfect_step(obs, a, 0.05, seed)
+        (x0, y0, _), (x1, y1, _) = nxt.objects[0].pos, nxt.objects[1].pos
+        if obs.objects[0].pos[2] + off[5] < 0.0 and obs.objects[1].pos[2] + off[8] < 0.0 \
+                and math.hypot(x1 - x0, y1 - y0) <= tol:
+            # both perturbed heights clip to 0.0: block 0 settles first, block 1 onto it
+            ties += 1
+            assert nxt.objects[0].pos[2] == h and nxt.objects[1].pos[2] == h + h + h
+    assert ties > 0
+
+
+def test_imperfect_step_keys_its_draw_by_the_state_action_and_model_seed(monkeypatch):
+    keys = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: keys.append(key) or real(key))
+
+    def key_of(obs, a, seed):
+        keys.clear()
+        la.imperfect_step(obs, a, 0.02, seed)
+        assert keys == [_model_key(obs, a, seed)]
+        return keys[0]
+
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        kind = (la.Stack(), la.PickPlace(), la.FollowCircle())[trial % 3]
+        obs = la.reset(la.TaskSpec(kind=kind), trial)
+        if trial % 2 and obs.objects:  # a held block
+            obs = la.step(dataclasses.replace(obs, gripper_pos=obs.objects[0].pos),
+                          la.Action((0, 0, 0), 1.0))
+        a = la.Action(tuple(rng.uniform(-0.05, 0.05, 3)), float(rng.uniform(0, 1)))
+        key_of(obs, a, int(rng.integers(-2**63, 2**63)) * (trial % 5 - 2))
+    # the edges of an int part's 16 signed bytes, and seeds that compare equal
+    # across types: each keys the draw as derive_seed does, so all apart
+    edges = [0, -1, 2**127 - 1, -2**127, 0.0, -0.0, True, 1, 1.0]
+    assert len({key_of(obs, a, seed) for seed in edges}) == len(edges)
+    assert la.derive_seed(0.0) != la.derive_seed(-0.0)
+    for seed in (2**127, -2**127 - 1):
+        with pytest.raises(OverflowError):
+            la.imperfect_step(obs, a, 0.02, seed)
 
 
 def test_imperfect_step_determinism(stack_task):
