@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -20,28 +20,31 @@ ACTION_DIM = 4  # three deltas plus one grip channel
 MAX_CHUNK_LEN = 8  # longest chunk treated as a single search entity
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class Action:
-    """One control step: a position delta plus a gripper command."""
+    """One control step: a position delta plus a gripper command.
+
+    The constructor converts every component to a Python float and checks it:
+    three deltas, each within ``DELTA_LIMIT`` of zero, and a grip in [0, 1].
+    A valid action passes one chained comparison per component, which NaN and
+    the infinities fail too. Only an action that fails one goes through the
+    named checks, in order, whose error says which rule it breaks.
+    """
 
     delta: tuple[float, float, float]
     grip: float
 
-    def __post_init__(self) -> None:
-        delta = tuple(map(float, self.delta))
-        grip = float(self.grip)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "grip", grip)
-        if len(delta) != 3:
-            raise ValueError(f"delta needs 3 components, got {len(delta)}")
-        dx, dy, dz = delta
-        isfinite = math.isfinite
-        if not (isfinite(dx) and isfinite(dy) and isfinite(dz) and isfinite(grip)):
-            raise ValueError("action components must be finite")
-        if abs(dx) > DELTA_LIMIT or abs(dy) > DELTA_LIMIT or abs(dz) > DELTA_LIMIT:
-            raise ValueError(f"delta component outside the per-step bound {DELTA_BOUND}")
-        if not 0.0 <= grip <= 1.0:
-            raise ValueError("grip must lie in [0, 1]")
+    def __init__(self, delta: tuple[float, float, float], grip: float) -> None:
+        delta = tuple(map(float, delta))
+        grip = float(grip)
+        if len(delta) == 3:
+            dx, dy, dz = delta
+            if (-DELTA_LIMIT <= dx <= DELTA_LIMIT and -DELTA_LIMIT <= dy <= DELTA_LIMIT
+                    and -DELTA_LIMIT <= dz <= DELTA_LIMIT and 0.0 <= grip <= 1.0):
+                object.__setattr__(self, "delta", delta)
+                object.__setattr__(self, "grip", grip)
+                return
+        _reject(delta, grip)
 
     @property
     def grip_closed(self) -> bool:
@@ -50,6 +53,19 @@ class Action:
     @staticmethod
     def zero(grip: float = 0.0) -> "Action":
         return Action((0.0, 0.0, 0.0), grip)
+
+
+def _reject(delta: tuple[float, ...], grip: float) -> NoReturn:
+    """Raise the error of the first rule that an invalid action breaks."""
+    if len(delta) != 3:
+        raise ValueError(f"delta needs 3 components, got {len(delta)}")
+    dx, dy, dz = delta
+    isfinite = math.isfinite
+    if not (isfinite(dx) and isfinite(dy) and isfinite(dz) and isfinite(grip)):
+        raise ValueError("action components must be finite")
+    if abs(dx) > DELTA_LIMIT or abs(dy) > DELTA_LIMIT or abs(dz) > DELTA_LIMIT:
+        raise ValueError(f"delta component outside the per-step bound {DELTA_BOUND}")
+    raise ValueError("grip must lie in [0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -43,6 +43,7 @@ import dataclasses
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -174,11 +175,17 @@ def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
     Only the distinct support rows inside the cutoff window are evaluated, once
     each; every other term keeps its exact +0.0 (see the module docstring).
     """
-    q = np.asarray(a, dtype=float)
-    single = q.ndim == 1
-    q2 = np.atleast_2d(q)
+    q2 = np.asarray(a, dtype=float)
+    single = q2.ndim == 1
+    if single:
+        q2 = q2[None, :]
+    elif q2.ndim != 2:
+        raise ValueError(f"query must be one vector (d,) or a batch (m, d), got shape {q2.shape}")
     if q2.shape[1] != prior.dim:
         raise ValueError(f"query dimension {q2.shape[1]} does not match prior dimension {prior.dim}")
+    m = q2.shape[0]
+    if m == 0:  # no queries, no densities: what the full formula gives
+        return np.zeros(0)
     h = prior.bandwidth
     d = prior.dim
     two_h2 = 2.0 * h * h
@@ -190,13 +197,14 @@ def density(prior: KdePrior, a: np.ndarray) -> float | np.ndarray:
     if np.isfinite(q2).all():
         r = math.sqrt(cap)
         qk = q2[:, key].tolist()
-        lo = int(np.searchsorted(keys, min(qk) - r, "left"))
-        hi = int(np.searchsorted(keys, max(qk) + r, "right"))
+        # np.searchsorted's "left" and "right" bounds, without its per-call dispatch
+        lo = bisect_left(keys, min(qk) - r)
+        hi = bisect_right(keys, max(qk) + r)
     # The (q * w, d) differences a - a_i as one subtraction over whole rows: each
     # query repeated once per distinct window row, minus the flattened window. The
     # same values and layout as the broadcast q2[:, None] - window[None], whose inner
     # loops would run over d alone.
-    m, w = q2.shape[0], hi - lo
+    w = hi - lo
     diffs = np.repeat(q2, w, axis=0).reshape(m, w * d)
     diffs -= rows[lo:hi].reshape(1, -1)
     diffs = diffs.reshape(m * w, d)

@@ -147,7 +147,7 @@ def predict_reward(model: RewardModel, obs: Observation) -> float:
         raise ValueError(
             f"feature length {feats.size} does not match model with {head.size} feature weights"
         )
-    raw = float(feats @ head) + bias
+    raw = float(feats.dot(head)) + bias  # feats @ head, bit for bit, without the ufunc dispatch
     return min(1.0, max(0.0, raw))
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from lookahead.actions import (
     ACTION_DIM,
     DELTA_BOUND,
+    DELTA_LIMIT,
     Action,
     ActionChunk,
     action_bounds,
@@ -71,6 +76,100 @@ def test_action_converts_components_to_floats():
     a = Action([np.float64(0.01), 0, np.int64(0)], np.float64(1.0))
     assert a.delta == (0.01, 0.0, 0.0) and all(type(v) is float for v in a.delta)
     assert type(a.grip) is float
+
+
+def _old_action_check(delta, grip):
+    """Action's former ``__post_init__``, its four named checks in their order:
+    the oracle for the one-comparison check. The stored (delta, grip)."""
+    delta = tuple(map(float, delta))
+    grip = float(grip)
+    if len(delta) != 3:
+        raise ValueError(f"delta needs 3 components, got {len(delta)}")
+    dx, dy, dz = delta
+    isfinite = math.isfinite
+    if not (isfinite(dx) and isfinite(dy) and isfinite(dz) and isfinite(grip)):
+        raise ValueError("action components must be finite")
+    if abs(dx) > DELTA_LIMIT or abs(dy) > DELTA_LIMIT or abs(dz) > DELTA_LIMIT:
+        raise ValueError(f"delta component outside the per-step bound {DELTA_BOUND}")
+    if not 0.0 <= grip <= 1.0:
+        raise ValueError("grip must lie in [0, 1]")
+    return delta, grip
+
+
+def _outcome(check, make_delta, grip):
+    """What a check does with an action: its stored components, exactly, or its error."""
+    try:
+        delta, grip = check(make_delta(), grip)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return repr((delta, grip)), [type(v) for v in (*delta, grip)]
+
+
+def _new_action_check(delta, grip):
+    a = Action(delta, grip)
+    return a.delta, a.grip
+
+
+# every slot takes each of these: the non-finite values, the delta limits and
+# their neighbours, +-0.0, the grip's ends and their neighbours, and inner values
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.013, 0.5, 1.0, -1.0,
+          math.nextafter(0.0, -math.inf), math.nextafter(0.0, math.inf),
+          math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf),
+          DELTA_LIMIT, math.nextafter(DELTA_LIMIT, 0.0), math.nextafter(DELTA_LIMIT, math.inf),
+          -DELTA_LIMIT, math.nextafter(-DELTA_LIMIT, 0.0), math.nextafter(-DELTA_LIMIT, -math.inf)]
+
+
+def _action_inputs():
+    """(delta factory, grip) pairs: a factory, so a generator delta is fresh for each check."""
+    for *delta, grip in itertools.product(_EDGES, repeat=4):
+        yield (lambda d=tuple(delta): d), grip
+    few = [math.nan, 0.0, -0.0, DELTA_LIMIT, math.nextafter(DELTA_LIMIT, math.inf), 1.0]
+    for n in (2, 4):
+        for *delta, grip in itertools.product(few, repeat=n + 1):
+            yield (lambda d=list(delta): d), grip
+    for vals in ([0.01, 0.02, 0.03, 0.5], [0.01, math.inf, 0.03, 0.5], [0.01, 0.02, 0.06, 0.5],
+                 [0.01, 0.02, 0.03, 1.5], [0.01, 0.02]):
+        yield (lambda v=vals[:3]: (x for x in v)), vals[-1]  # a generator delta
+    scalars = [np.float64(DELTA_LIMIT), np.float64(-0.0), np.float64(math.nan), np.int64(0),
+               np.float32(0.05), np.float32(0.013), np.bool_(True), np.float64(1.0)]
+    for *delta, grip in itertools.product(scalars, repeat=4):
+        yield (lambda d=tuple(delta): d), grip
+
+
+def test_action_check_agrees_with_the_four_named_checks():
+    seen = set()
+    for make_delta, grip in _action_inputs():
+        want = _outcome(_old_action_check, make_delta, grip)
+        assert _outcome(_new_action_check, make_delta, grip) == want, (make_delta(), grip)
+        seen.add(want[1] if want[0] is ValueError else "valid")
+    assert seen == {"valid", "delta needs 3 components, got 2", "delta needs 3 components, got 4",
+                    "action components must be finite", "grip must lie in [0, 1]",
+                    f"delta component outside the per-step bound {DELTA_BOUND}"}
+
+
+def test_action_signature_is_its_fields():
+    params = inspect.signature(Action).parameters
+    assert list(params) == [f.name for f in dataclasses.fields(Action)]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+               for p in params.values())
+
+
+def test_action_stays_a_frozen_dataclass():
+    a = Action(delta=[0.01, -0.02, np.float64(0.0)], grip=1)  # by keyword, as records read it
+    assert repr(a) == "Action(delta=(0.01, -0.02, 0.0), grip=1.0)"
+    same = Action((0.01, -0.02, 0.0), 1.0)
+    other = dataclasses.replace(a, grip=0.25)
+    assert a == same and hash(a) == hash(same)
+    assert other == Action(a.delta, 0.25) and other != a
+    assert len({a, same, other}) == 2
+    with pytest.raises(ValueError, match=r"^grip must lie in \[0, 1\]$"):
+        dataclasses.replace(a, grip=2.0)
+    again = pickle.loads(pickle.dumps(a))
+    assert again == a and hash(again) == hash(a) and repr(again) == repr(a)
+    for field, value in (("delta", (0.0, 0.0, 0.0)), ("grip", 0.5)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, value)
+    assert a == same
 
 
 def test_chunk_rejects_non_action_entries():

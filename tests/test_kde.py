@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -93,14 +94,45 @@ def _broadcast_density(prior, a):
     return norm * np.exp(-sq / (2.0 * h * h)).mean(axis=1)
 
 
+def _window_edge_cases(rng, d):
+    """(prior, queries) pairs whose cutoff window ends exactly on support keys.
+
+    The key coordinate is column 2, widened by two far points. Support keys sit
+    at min(qk) - r and max(qk) + r, as density computes them, and one ulp either
+    side, each in several distinct rows and in duplicated ones; queries at key
+    r or -r put an edge at 0.0, where +0.0 and -0.0 keys sit. Keys 30 bandwidths
+    from a query keep some terms above zero.
+    """
+    h = 0.01
+    r = _window_r(h)
+    for qs in ([0.0], [0.013, -0.02], [r], [-r], [r, -r]):
+        keys = [-3.0, 3.0, 0.0, -0.0]
+        for edge in (min(qs) - r, max(qs) + r):
+            keys += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+        keys += [q + t * h for q in qs for t in (-30.0, 30.0)]
+        keys = np.repeat(keys, 3)  # three rows per key ...
+        pts = rng.uniform(-0.05, 0.05, size=(len(keys), d))
+        pts[:, 2] = keys
+        pts = np.concatenate([pts, pts[::2]])  # ... and duplicated rows
+        prior = KdePrior(points=pts, bandwidth=h)
+        assert prior.sorted_support[0] == 2
+        queries = pts[rng.integers(0, len(pts), size=len(qs))]
+        queries[:, 2] = qs
+        yield prior, queries
+
+
 @pytest.mark.parametrize("d", [4, 8, 16, 32])
 def test_density_equals_the_broadcast_formula_bit_for_bit(d):
     rng = np.random.default_rng(d)
+    cases = []
     for trial in range(40):
         pts = rng.uniform(-0.05, 0.05, size=(int(rng.integers(2, 300)), d))
         prior = fit_kde(pts, float(rng.uniform(0.005, 0.05)))
         queries = pts[rng.integers(0, len(pts), size=int(rng.integers(1, 12)))]
-        queries = queries + rng.normal(0.0, 0.01, size=queries.shape)
+        cases.append((prior, queries + rng.normal(0.0, 0.01, size=queries.shape)))
+    for prior, queries in _window_edge_cases(rng, d):
+        cases += [(prior, queries), (pickle.loads(pickle.dumps(prior)), queries)]
+    for prior, queries in cases:
         got = density(prior, queries)
         want = _broadcast_density(prior, queries)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -170,6 +202,23 @@ def test_density_window_edge_is_exact(t):
         assert want[0] > 0.0  # the terms inside r count
         assert density(prior, query) == want[0]
         assert np.atleast_1d(density(prior, query[None, :])).tobytes() == want.tobytes()
+
+
+def test_density_of_an_empty_batch_is_an_empty_array():
+    prior = fit_kde(np.random.default_rng(25).uniform(-0.05, 0.05, size=(20, 4)), 0.01)
+    got = density(prior, np.zeros((0, 4)))
+    want = _broadcast_density(prior, np.zeros((0, 4)))
+    assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.float64, (0,))
+    with pytest.raises(ValueError, match="^query dimension 3 does not match prior dimension 4$"):
+        density(prior, np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("shape", [(), (1, 1, 1), (2, 3, 1), (0, 2, 1)])
+def test_density_rejects_a_query_that_is_neither_a_vector_nor_a_batch(shape):
+    prior = fit_kde(np.array([[0.0], [0.5]]), 0.1)  # d = 1: a scalar or (..., 1) query fits it
+    with pytest.raises(ValueError, match=rf"^query must be one vector \(d,\) or a batch \(m, d\), "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        density(prior, np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

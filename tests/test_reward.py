@@ -179,6 +179,18 @@ def test_predict_equals_the_unsplit_formula_bit_for_bit(reward_model, demos):
             assert predict_reward(reward_model, obs) == want
 
 
+@pytest.mark.parametrize("kind", [la.Stack(), la.PickPlace(), la.FollowCircle()])
+def test_dot_head_equals_matmul_bit_for_bit(kind):
+    # predict_reward takes feats.dot(head); feats @ head is the formula
+    n = render_features(la.reset(la.TaskSpec(kind=kind), 0)).size
+    rng = np.random.default_rng(n)
+    for _ in range(2000):
+        scale = 10.0 ** rng.integers(-3, 4, size=2)
+        feats = rng.normal(0.0, scale[0], size=n)
+        head = RewardModel("stack", rng.normal(0.0, scale[1], size=n + 1), 0.0).head[0]
+        assert feats.dot(head).tobytes() == (feats @ head).tobytes()
+
+
 def test_model_weights_are_a_read_only_copy():
     w = np.array([0.1, 0.2, 0.3])
     model = RewardModel("stack", w, 0.0)
