@@ -185,14 +185,15 @@ def _vec(action):
 
 
 class _ArrayDrift:
-    """The drift action in its numpy array form, on its own copy of the stream."""
+    """The drift policy in its numpy array form, on its own copy of the stream:
+    two ``normal`` calls per action, the exact world stepped between a chunk's actions."""
 
-    def __init__(self, eta, sigma, seed):
-        self.eta, self.sigma = eta, sigma
+    def __init__(self, eta, sigma, chunk_len, seed):
+        self.eta, self.sigma, self.chunk_len = eta, sigma, chunk_len
         self.bias = np.zeros(3)
         self.rng = rng_from("drift", 0, seed)
 
-    def __call__(self, obs):
+    def _action(self, obs):
         base = expert_action(obs)
         noise = self.rng.normal(0.0, self.sigma, size=3)
         delta = np.clip(np.asarray(base.delta) + self.bias + noise, -DELTA_BOUND, DELTA_BOUND)
@@ -202,26 +203,58 @@ class _ArrayDrift:
             self.bias = self.bias + self.eta * (u / norm)
         return la.Action(tuple(delta), base.grip)
 
+    def propose(self, obs):
+        actions = []
+        for i in range(self.chunk_len):
+            actions.append(self._action(obs))
+            if i + 1 < self.chunk_len:
+                obs = la.step(obs, actions[-1])
+        return actions
 
+
+_KINDS = {"stack": la.Stack(), "pick-place": la.PickPlace(), "follow-circle": la.FollowCircle()}
+
+
+@pytest.mark.parametrize("kind", list(_KINDS), ids=list(_KINDS))
+@pytest.mark.parametrize("chunk_len", [1, 2, 4, 8])
 @pytest.mark.parametrize("eta, sigma", [(0.004, 0.005), (0.0, 0.005), (0.0, 0.0), (0.03, 0.04)],
                          ids=["shipped", "eta-0", "no-noise", "clamp-binds"])
-def test_drift_action_equals_the_array_form_bit_for_bit(stack_task, eta, sigma):
+def test_propose_equals_the_array_form_bit_for_bit(kind, chunk_len, eta, sigma):
+    task = la.TaskSpec(kind=_KINDS[kind])
     clamped = [0, 0]  # deltas the array form clamped to -DELTA_BOUND, to +DELTA_BOUND
     for seed in range(12):
-        drift, ref = DriftPolicy(PolicyParams(eta=eta, sigma=sigma)), _ArrayDrift(eta, sigma, seed)
+        drift = DriftPolicy(PolicyParams(eta=eta, sigma=sigma, chunk_len=chunk_len))
+        ref = _ArrayDrift(eta, sigma, chunk_len, seed)
         drift.reset(seed)
-        obs = la.reset(stack_task, seed)
-        for _ in range(60):
-            a, want = drift._drift_action(obs), ref(obs)
-            assert _vec(a) == _vec(want)
+        obs = la.reset(task, seed)
+        while obs.step_index < 60 and not la.is_success(obs):
+            chunk, want = drift.propose(obs), ref.propose(obs)
+            assert [_vec(a) for a in chunk.actions] == [_vec(w) for w in want]
             assert np.array(drift._bias).tobytes() == ref.bias.tobytes()
-            clamped[0] += want.delta.count(-DELTA_BOUND)
-            clamped[1] += want.delta.count(DELTA_BOUND)
-            obs = la.step(obs, a)
-            if la.is_success(obs):
-                break
+            for w in want:
+                clamped[0] += w.delta.count(-DELTA_BOUND)
+                clamped[1] += w.delta.count(DELTA_BOUND)
+            for a in chunk.actions:
+                obs = la.step(obs, a)
+                if la.is_success(obs):
+                    break
     if sigma > 0.02:
         assert min(clamped) > 20  # the clamp bound on both sides
+
+
+@pytest.mark.parametrize("chunk_len", [1, 4])
+def test_each_query_draws_six_normals_per_action(stack_task, chunk_len):
+    # the stream after each query is where one standard_normal(6 * chunk_len) per
+    # query leaves it: nothing drawn ahead, nothing drawn between queries
+    drift = DriftPolicy(PolicyParams(chunk_len=chunk_len))
+    drift.reset(13)
+    fresh = rng_from("drift", 0, 13)
+    obs = la.reset(stack_task, 13)
+    for _ in range(6):
+        chunk = drift.propose(obs)
+        fresh.standard_normal(6 * chunk_len)
+        assert drift._rng.bit_generator.state == fresh.bit_generator.state
+        obs = la.step(obs, chunk.actions[0])
 
 
 def test_plain_norm_equals_numpy_norm_bit_for_bit():
@@ -243,4 +276,4 @@ def test_move_toward_equals_the_generator_form_bit_for_bit():
         for p, t in cases:
             want = tuple(max(-DELTA_BOUND, min(DELTA_BOUND, b - a)) for a, b in zip(p, t))
             got = _move_toward(p, t, 1.0)
-            assert np.array(got.delta).tobytes() == np.array(want).tobytes()
+            assert np.array(got[0]).tobytes() == np.array(want).tobytes()
