@@ -8,6 +8,7 @@ actions flatten to one long vector and back without loss.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterator, NoReturn, Sequence
 
@@ -113,6 +114,18 @@ def action_bounds(chunk_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= chunk_len <= MAX_CHUNK_LEN:
         raise ValueError(f"chunk_len must be in [1, {MAX_CHUNK_LEN}]")
     return _BOUNDS[chunk_len]
+
+
+@functools.lru_cache(maxsize=16)
+def pool_bounds(chunk_len: int, pool_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``action_bounds(chunk_len)`` repeated on each of ``pool_size`` rows: (lo, hi)
+    of a (pool_size, 4 * chunk_len) pool of draws, which clips against bounds of
+    its own shape in one contiguous pass.
+
+    Built once per (chunk_len, pool_size); the arrays are shared and read-only.
+    """
+    lo, hi = action_bounds(chunk_len)
+    return _read_only(np.tile(lo, (pool_size, 1))), _read_only(np.tile(hi, (pool_size, 1)))
 
 
 def blend_actions(proposal: Action, searched: Action, alpha: float) -> Action:

@@ -223,8 +223,7 @@ def run_episode(
     if use_reasoner and (prior is None or reward_fn is None):
         raise ValueError("the reasoner arm needs a fitted prior and reward scorer")
     t0 = time.perf_counter()
-    policy = DriftPolicy(config.policy)
-    policy.reset(episode_seed)
+    policy = DriftPolicy(config.policy, episode_seed)
     obs = reset(config.task, episode_seed)
     if use_reasoner:
         eps = config.search.epsilon_model

@@ -35,6 +35,14 @@ full formula gives it. The terms are gathered back with
 ``take(..., axis=1)``, which returns a C-ordered array (fancy indexing along
 axis 1 returns an F-ordered one, whose row sums numpy takes in another order),
 so the mean sums the same values in the same order as over the whole support.
+
+``sample`` draws each action as a uniform support point plus
+``Generator.normal(0.0, h)`` noise, which numpy computes as 0.0 + h * z per
+standard normal z (the sum fixes a zero's sign, so h * z alone is not the same
+bits). Bounds clamp the draws with numpy's clip ufunc, reached directly rather
+than through ``np.clip``'s Python wrappers; bounds of the draws' own (n, d)
+shape, which ``actions.pool_bounds`` builds once per chunk length and pool
+size, let it clip in one contiguous pass instead of broadcasting a (d,) row.
 """
 
 from __future__ import annotations
@@ -49,6 +57,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, parse_object, require_numbers, require_types
+
+try:  # the clip ufunc itself, which np.clip and ndarray.clip reach through Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 # a kernel term is exactly +0.0 once ||a - a_i||^2 / (2 h^2) exceeds about
 # 745.13; density's window keeps the points below this exponent
@@ -145,6 +158,31 @@ def fit_kde(actions: np.ndarray, bandwidth: float) -> KdePrior:
     return KdePrior(points=pts, bandwidth=bandwidth)
 
 
+# the sorted support of every one-point prior: its one row is its own distinct row
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+_ONE_ROW.flags.writeable = False
+
+
+def one_point_prior(prior: KdePrior, point: np.ndarray) -> KdePrior:
+    """``KdePrior(points=point[None, :], bandwidth=prior.bandwidth)``: the kernel of
+    ``prior`` around ``point`` alone.
+
+    A finite point of the prior's dimension passes every check ``prior`` has
+    passed, so its prior is built without them and its one row needs no sort;
+    any other point goes through the checks and their errors.
+    """
+    pts = np.array(point, dtype=float).reshape(1, -1)
+    if pts.shape[1] != prior.dim or not np.isfinite(pts).all():
+        return KdePrior(points=pts, bandwidth=prior.bandwidth)
+    pts.flags.writeable = False
+    one = object.__new__(KdePrior)
+    object.__setattr__(one, "points", pts)
+    object.__setattr__(one, "bandwidth", prior.bandwidth)
+    # what _sorted_support(pts) gives: key 0, the one row, and its key coordinate
+    object.__setattr__(one, "sorted_support", (0, _ONE_ROW, pts, pts[:, 0]))
+    return one
+
+
 def sample(
     prior: KdePrior,
     n: int,
@@ -153,10 +191,12 @@ def sample(
 ) -> np.ndarray:
     """Draw n actions: a uniform support point plus N(0, h^2 I) noise each.
 
-    When the caller supplies action-space ``bounds`` the draws are clamped
-    componentwise; a bare prior has no intrinsic bounds. Over a one-point
-    prior this is plain Gaussian noise around that point: the search's noise
-    ablation.
+    The noise is ``Generator.normal(0.0, h)``: 0.0 + h * z per standard normal z.
+    When the caller supplies action-space ``bounds`` (lo, hi) the draws are
+    clamped componentwise by the clip ufunc; bounds of the draws' (n, d) shape,
+    from ``actions.pool_bounds``, clip fastest, and (d,) bounds give the same
+    bits. A bare prior has no intrinsic bounds. Over a one-point prior this is
+    plain Gaussian noise around that point: the search's noise ablation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -165,7 +205,7 @@ def sample(
     draws = prior.points.take(idx, axis=0)  # points[idx] + noise, bit for bit
     draws += rng.normal(0.0, prior.bandwidth, size=(n, prior.dim))
     if bounds is not None:
-        draws.clip(bounds[0], bounds[1], out=draws)
+        _clip(draws, bounds[0], bounds[1], out=draws)
     return draws
 
 
@@ -242,10 +282,24 @@ def top_k_near(candidates: np.ndarray, k: int, anchor: np.ndarray) -> np.ndarray
     n = cands.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    diff = cands - anchor[None, :]
-    dists = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm(diff, axis=1)
-    order = np.argsort(dists, kind="stable")[:k]
+    order = _distances(cands, anchor).argsort(kind="stable")[:k]
     return cands.take(order, axis=0)  # a fresh array
+
+
+def _distances(cands: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Each row's distance to ``anchor``: np.linalg.norm(cands - anchor, axis=1),
+    bit for bit."""
+    if anchor.size < 8:
+        # np.add.reduce(diff * diff, axis=1) sums a row of fewer than 8 squares left
+        # to right; adding the rows of the transposed (d, n) squares one after another
+        # takes the same sums in d contiguous passes instead of n short ones
+        sq = cands.T.copy()
+        sq -= anchor[:, None]
+        sq *= sq
+        return np.sqrt(np.add.reduce(sq, axis=0))
+    # longer rows: numpy's pairwise order over each row, as the norm takes it
+    diff = cands - anchor[None, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
 def weights_from_densities(densities: np.ndarray, total_budget: int) -> list[int]:
@@ -265,7 +319,7 @@ def weights_from_densities(densities: np.ndarray, total_budget: int) -> list[int
     for x in vals:
         if not 0.0 <= x < math.inf:
             raise ValueError("densities must be finite and non-negative")
-    total = float(p.sum())
+    total = float(np.add.reduce(p))  # p.sum() without its wrapper
     spare = total_budget - m
     if total <= 0.0:
         # all densities underflowed to zero: split the budget evenly

@@ -110,7 +110,9 @@ class DriftPolicy:
 
     Per emitted action the bias takes one random-walk step of size eta, so its
     norm grows like eta * sqrt(t). Only the position deltas are corrupted; the
-    grip channel passes through untouched. A fresh policy is reset to seed 0.
+    grip channel passes through untouched. A fresh policy starts at
+    ``seed``, 0 unless given: ``DriftPolicy(params, s)`` is
+    ``DriftPolicy(params)`` after ``reset(s)``, without the generator of seed 0.
 
     Each query draws its chunk's randomness at once: six standard normals per
     action, in one ``standard_normal(6 * chunk_len)`` call. Of each action's
@@ -119,9 +121,9 @@ class DriftPolicy:
     ``normal(0, sigma, 3)`` then ``normal(size=3)`` per action would take.
     """
 
-    def __init__(self, params: PolicyParams = PolicyParams()):
+    def __init__(self, params: PolicyParams = PolicyParams(), seed: int = 0):
         self.params = params
-        self.reset(0)
+        self.reset(seed)
 
     def reset(self, episode_seed: int) -> None:
         self._bias = (0.0, 0.0, 0.0)

@@ -25,14 +25,14 @@ from .actions import (
     ACTION_DIM,
     Action,
     ActionChunk,
-    action_bounds,
     blend_actions,
     flatten_chunk,
+    pool_bounds,
     split_actions,
     unflatten_chunk,
 )
 from .errors import require_types
-from .kde import KdePrior, sample, top_k_near, weights_from_densities, density
+from .kde import KdePrior, one_point_prior, sample, top_k_near, weights_from_densities, density
 from .seeding import derive_seed
 from .world import Observation
 
@@ -124,10 +124,10 @@ def expand(anchor: np.ndarray, path: list[int], prior: KdePrior, config: SearchC
     if anchor.size % ACTION_DIM != 0:
         raise ValueError("anchor length is not a whole number of actions")
     rng_seed = derive_seed(seed, "expand", len(path), *path)
-    bounds = action_bounds(anchor.size // ACTION_DIM)
+    bounds = pool_bounds(anchor.size // ACTION_DIM, config.pool_size)
 
     if config.sampler == "noise":
-        prior = KdePrior(points=anchor[None, :], bandwidth=prior.bandwidth)
+        prior = one_point_prior(prior, anchor)
 
     cands = sample(prior, config.pool_size, rng_seed, bounds)
     chosen = top_k_near(cands, config.k, anchor)

@@ -13,24 +13,34 @@ import struct
 import numpy as np
 
 
+# the fixed headers of the fixed-length payloads: type tag plus payload length
+_BOOL_HEADER = b"b" + struct.pack(">I", 1)
+_INT_HEADER = b"i" + struct.pack(">I", 16)
+_FLOAT_HEADER = b"f" + struct.pack(">I", 8)
+
+
 def encode_part(part: int | float | str | bytes | bool) -> bytes:
     """The byte encoding of one seed part: a type tag, the payload's length as
-    4 big-endian bytes, and the payload."""
+    4 big-endian bytes, and the payload.
+
+    A bool's payload is 1 byte, an int's 16 (two's complement, big-endian) and
+    a float's 8 (IEEE 754, big-endian), so their 5-byte headers are built once;
+    bytes and str parts carry their own length.
+    """
     # bytes first, as each world-model key holds two byte parts;
     # bool before int: bool is a subclass of int
     if isinstance(part, bytes):
-        tag, payload = b"r", part
-    elif isinstance(part, bool):
-        tag, payload = b"b", struct.pack(">?", part)
-    elif isinstance(part, int):
-        tag, payload = b"i", part.to_bytes(16, "big", signed=True)
-    elif isinstance(part, float):
-        tag, payload = b"f", struct.pack(">d", part)
-    elif isinstance(part, str):
-        tag, payload = b"s", part.encode("utf-8")
-    else:
-        raise TypeError(f"cannot derive a seed from {type(part).__name__}")
-    return tag + struct.pack(">I", len(payload)) + payload
+        return b"r" + struct.pack(">I", len(part)) + part
+    if isinstance(part, bool):
+        return _BOOL_HEADER + struct.pack(">?", part)
+    if isinstance(part, int):
+        return _INT_HEADER + part.to_bytes(16, "big", signed=True)
+    if isinstance(part, float):
+        return _FLOAT_HEADER + struct.pack(">d", part)
+    if isinstance(part, str):
+        payload = part.encode("utf-8")
+        return b"s" + struct.pack(">I", len(payload)) + payload
+    raise TypeError(f"cannot derive a seed from {type(part).__name__}")
 
 
 def seed_from_encoded(encoded: bytes) -> int:

@@ -349,6 +349,15 @@ def test_run_episode_clean_policy_succeeds(run_config):
     assert result.final_reward == 1.0
 
 
+def test_run_episode_builds_one_policy_generator_at_the_episode_seed(run_config, monkeypatch):
+    import lookahead.policies as policies
+    seen = []
+    monkeypatch.setattr(policies, "rng_from", lambda *parts: seen.append(parts) or la.rng_from(*parts))
+    seed = episode_seeds(run_config)[0]
+    la.run_episode(run_config, seed, use_reasoner=False)
+    assert seen == [("drift", 0, seed)]
+
+
 def test_run_episode_deterministic(run_config):
     seed = episode_seeds(run_config)[1]
     a = la.run_episode(run_config, seed, use_reasoner=False)

@@ -12,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
+import expansion_oracles as oracle
 from lookahead import kde
-from lookahead.actions import action_bounds
+from lookahead.actions import MAX_CHUNK_LEN, action_bounds, pool_bounds
 from lookahead.errors import DataError
 from lookahead.kde import (
     KdePrior,
@@ -22,6 +23,7 @@ from lookahead.kde import (
     load_prior,
     sample,
     save_prior,
+    one_point_prior,
     top_k_near,
     weights_from_densities,
 )
@@ -426,6 +428,172 @@ def test_bounded_sample_equals_clipped_draws_bit_for_bit():
             assert raw.tobytes() == drawn.tobytes()
             got = sample(prior, 256, seed, bounds=(lo, hi))
             assert got.tobytes() == np.clip(raw, lo, hi).tobytes()
+
+
+def _box_support(rng, n, d):
+    """Support rows of d / 4 actions: inside the action box, exactly on its faces,
+    just outside it, and grips of +0.0, -0.0 and 1.0."""
+    lo, hi = action_bounds(d // 4)
+    pts = rng.uniform(lo - 0.01, hi + 0.01, size=(n, d))
+    face = rng.random((n, d)) < 0.3
+    pts[face] = np.where(rng.random((n, d)) < 0.5, lo, hi)[face]
+    grips = pts[:, 3::4]
+    grips[...] = rng.choice([0.0, -0.0, 1.0, 0.5], size=grips.shape)
+    return pts
+
+
+@pytest.mark.parametrize("d", [4, 16, 32])
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_sample_equals_the_wrapped_clip_form_bit_for_bit(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    lo, hi = action_bounds(d // 4)
+    cases = on_face = 0
+    # the smallest bandwidth whose h ** -d does not overflow: below 1e-18 a draw
+    # from a point on a face stays exactly on its bound before the clip
+    tiny = {4: 1e-20, 16: 1e-19, 32: 1e-9}[d]
+    for h in (tiny, 1e-3, 0.02, 0.5):
+        prior = fit_kde(_box_support(rng, 40, d), h)
+        for p in (prior, pickle.loads(pickle.dumps(prior))):
+            for seed in rng.integers(0, 2**63, size=4).tolist():
+                raw = oracle.sample(p, n, seed)
+                assert sample(p, n, seed).tobytes() == raw.tobytes()
+                on_face += int(((raw == lo) | (raw == hi)).sum())
+                want = oracle.sample(p, n, seed, (lo, hi))
+                for bounds in (pool_bounds(d // 4, n), (lo, hi)):
+                    assert sample(p, n, seed, bounds).tobytes() == want.tobytes(), (h, seed)
+                cases += 1
+    assert cases == 32
+    assert on_face > 0 or d == 32
+
+
+def test_sample_clips_signed_zeros_and_nan_as_the_wrapped_clip():
+    # the clip itself, on the values no draw reaches by chance: a -0.0 on the grip's
+    # +0.0 bound becomes +0.0, a NaN stays NaN
+    lo, hi = pool_bounds(1, 6)
+    vals = np.array([[-0.0, 0.0, 0.05, -0.0], [0.0, -0.05, -0.0, 0.0], [np.nan, 1.0, -1.0, np.nan],
+                     [0.05, 0.05000000000000001, -0.05000000000000001, 1.0], [-0.0, -0.0, -0.0, -0.0],
+                     [np.inf, -np.inf, np.inf, -np.inf]])
+    got = vals.copy()
+    kde._clip(got, lo, hi, out=got)
+    want = vals.copy()
+    want.clip(lo[0], hi[0], out=want)
+    assert got.tobytes() == want.tobytes()
+    assert math.copysign(1.0, got[0, 3]) == 1.0 and math.copysign(1.0, got[0, 0]) == -1.0
+
+
+def test_pool_bounds_are_shared_read_only_rows_of_the_action_bounds():
+    for chunk_len in range(1, MAX_CHUNK_LEN + 1):
+        lo, hi = action_bounds(chunk_len)
+        for n in (1, 7, 256):
+            plo, phi = pool_bounds(chunk_len, n)
+            assert plo.shape == phi.shape == (n, lo.size)
+            assert plo.flags.c_contiguous and phi.flags.c_contiguous
+            for row in range(n):
+                assert plo[row].tobytes() == lo.tobytes() and phi[row].tobytes() == hi.tobytes()
+            assert pool_bounds(chunk_len, n)[0] is plo and pool_bounds(chunk_len, n)[1] is phi
+            with pytest.raises(ValueError):
+                plo[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                phi += 1.0
+    for bad in (0, MAX_CHUNK_LEN + 1):
+        with pytest.raises(ValueError):
+            pool_bounds(bad, 8)
+
+
+def _tied_candidates(rng, n, d):
+    """Candidates around an anchor with duplicated rows and mirror images, whose
+    distances tie exactly, plus rows at the anchor itself."""
+    anchor = rng.normal(0.0, 0.02, size=d)
+    cands = anchor + rng.normal(0.0, 0.02, size=(n, d)) * 10.0 ** rng.integers(-6, 1, size=(n, 1))
+    if n > 1:
+        half = n // 2
+        cands[half:2 * half] = (2 * anchor - cands[:half]) if rng.random() < 0.5 else cands[:half]
+        cands[rng.integers(0, n)] = anchor
+    return cands, anchor
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 7, 8, 16, 32])
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_top_k_distances_equal_the_row_reduce_bit_for_bit(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    for trial in range(30):
+        if trial % 3 == 0:
+            cands = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-150, 150, size=(n, d))
+            anchor = rng.normal(size=d)
+        else:
+            cands, anchor = _tied_candidates(rng, n, d)
+        assert kde._distances(cands, anchor).tobytes() == oracle.distances(cands, anchor).tobytes()
+        for k in sorted({1, (n + 1) // 2, n}):
+            assert top_k_near(cands, k, anchor).tobytes() == oracle.top_k_near(cands, k, anchor).tobytes()
+
+
+def test_top_k_ties_keep_the_lower_index():
+    anchor = np.zeros(4)
+    cands = np.array([[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0],
+                      [0.0, 0.5, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+    assert top_k_near(cands, 4, anchor).tobytes() == cands[[3, 0, 1, 2]].tobytes()
+
+
+def test_visit_weights_equal_the_summed_form():
+    rng = np.random.default_rng(31)
+    for trial in range(4000):
+        m = int(rng.integers(1, 40))
+        # a budget up to 1e12 carries a one-ulp change of the sum into the counts
+        budget = m + int(10.0 ** rng.uniform(0, 12))
+        kind = trial % 4
+        if kind == 0:
+            p = np.zeros(m) if trial % 8 else np.full(m, -0.0)
+        elif kind == 1:
+            p = rng.exponential(size=m) * 10.0 ** rng.integers(-300, 300, size=m)
+        elif kind == 2:
+            p = rng.integers(0, 5, size=m).astype(float)
+        else:
+            p = rng.uniform(size=m) * (rng.random(m) < 0.7)
+        assert weights_from_densities(p, budget) == oracle.weights_from_densities(p, budget), (p, budget)
+
+
+def test_visit_weights_carry_the_last_bit_of_the_pairwise_sum():
+    # 1 plus fifteen 2**-53 sums to 1 + 7 * 2**-52 pairwise, 1 + 8 * 2**-52 exactly
+    # rounded and 1 left to right; near a budget of 2**52 / 7.5 (or / 5) that last
+    # bit moves the first count by one
+    p = np.array([1.0] + [2.0 ** -53] * 15)
+    firsts = {}
+    for budget in (16 + int(2 ** 52 / 7.5), 16 + int(2 ** 52 / 5)):
+        got = weights_from_densities(p, budget)
+        assert got == oracle.weights_from_densities(p, budget)
+        for name, total in (("pairwise", float(np.add.reduce(p))), ("exact", math.fsum(p.tolist())),
+                            ("left to right", sum(p.tolist()))):
+            firsts.setdefault(name, []).append(1 + math.ceil((budget - 16) * (1.0 / total) - 1e-9))
+        assert got[0] == firsts["pairwise"][-1]
+    assert len({tuple(v) for v in firsts.values()}) == 3
+
+
+@pytest.mark.parametrize("d", [4, 16, 32])
+def test_one_point_prior_is_the_checked_prior(d):
+    rng = np.random.default_rng(d)
+    prior = fit_kde(rng.normal(size=(5, d)), 0.02)
+    for point in (rng.normal(size=d), np.zeros(d), np.full(d, -0.0), _box_support(rng, 1, d)[0]):
+        got, want = one_point_prior(prior, point), KdePrior(points=point[None, :], bandwidth=0.02)
+        assert got.points.tobytes() == want.points.tobytes() and got.bandwidth == want.bandwidth
+        assert got.sorted_support[0] == want.sorted_support[0]
+        for a, b in zip(got.sorted_support[1:], want.sorted_support[1:]):
+            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype and not a.flags.writeable
+        assert not got.points.flags.writeable
+        point += 1.0  # the prior holds its own copy
+        assert got.points.tobytes() == want.points.tobytes()
+        queries = rng.normal(0.0, 0.03, size=(9, d))
+        assert density(got, queries).tobytes() == density(want, queries).tobytes()
+        assert sample(got, 50, 3).tobytes() == sample(want, 50, 3).tobytes()
+
+
+def test_one_point_prior_of_another_point_goes_through_the_checks():
+    prior = fit_kde(np.zeros((2, 4)), 0.02)
+    with pytest.raises(ValueError, match="support points must be finite"):
+        one_point_prior(prior, np.array([0.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="support points must be finite"):
+        one_point_prior(prior, np.array([0.0, np.inf, 0.0, 0.0]))
+    other = one_point_prior(prior, np.ones(3))  # another dimension: a checked prior of it
+    assert other.dim == 3 and other.points.tobytes() == np.ones((1, 3)).tobytes()
 
 
 def test_sample_is_support_plus_gaussian():

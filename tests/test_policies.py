@@ -141,6 +141,21 @@ def test_fresh_drift_policy_proposes_what_a_reset_to_0_does(stack_task, params):
         obs = la.step(obs, a.actions[0])
 
 
+@pytest.mark.parametrize("params", [PolicyParams(), PolicyParams(chunk_len=4)], ids=["chunk-1", "chunk-4"])
+@pytest.mark.parametrize("seed", [0, 1, 13, 2**64 - 1])
+def test_seeded_drift_policy_proposes_what_construct_then_reset_does(stack_task, params, seed):
+    seeded, reset = DriftPolicy(params, seed), DriftPolicy(params)
+    reset.reset(seed)
+    assert seeded._rng.bit_generator.state == reset._rng.bit_generator.state
+    obs = la.reset(stack_task, seed % 1000)
+    for _ in range(20):
+        a, b = seeded.propose(obs), reset.propose(obs)
+        assert flatten_chunk(a).tobytes() == flatten_chunk(b).tobytes()
+        assert seeded._rng.bit_generator.state == reset._rng.bit_generator.state
+        obs = la.step(obs, a.actions[0])
+    assert DriftPolicy(params, 0)._rng.bit_generator.state == DriftPolicy(params)._rng.bit_generator.state
+
+
 @pytest.mark.parametrize("name", ["eta", "sigma"])
 @pytest.mark.parametrize("value", ["x", True, None])
 def test_drift_policy_names_a_non_number_knob(name, value):

@@ -9,6 +9,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+import expansion_oracles as oracle
 import lookahead as la
 import reference_search as ref
 from expert import ExpertPolicy
@@ -187,6 +188,45 @@ def test_expand_degenerate_prior_concentrates_on_anchor(stack_task):
     chosen, _ = expand(anchor, [], tight, SearchConfig(), seed=14)
     for row in chosen:
         assert np.allclose(row, anchor, atol=1e-9)
+
+
+def _random_anchor(rng, d):
+    """A flattened chunk inside the action box, some entries on its faces, grips
+    among +0.0, -0.0, 1.0 and the interior."""
+    lo, hi = la.action_bounds(d // 4)
+    anchor = rng.uniform(lo, hi)
+    face = rng.random(d) < 0.2
+    anchor[face] = np.where(rng.random(d) < 0.5, lo, hi)[face]
+    anchor[3::4] = rng.choice([0.0, -0.0, 1.0, float(rng.uniform())], size=d // 4)
+    return anchor
+
+
+_EXPAND_SHAPES = [SearchConfig(), SearchConfig(k=1, pool_size=1, visit_budget=1),
+                  SearchConfig(k=7, pool_size=7, visit_budget=30)]
+
+
+@pytest.mark.parametrize("chunk_len", [1, 4, 8])
+@pytest.mark.parametrize("sampler", ["noise", "kde"])
+def test_expand_equals_the_former_expressions_bit_for_bit(chunk_len, sampler):
+    # the one-point prior built without its checks, the pool-shaped clip, the
+    # transposed distances and the plain reduce against their former forms
+    d = 4 * chunk_len
+    rng = np.random.default_rng(chunk_len)
+    cases = 0
+    for trial in range(210):
+        if trial % 30 == 0:
+            h = float(10.0 ** rng.uniform(-3, -1))
+            support = np.array([_random_anchor(rng, d) for _ in range(60)])
+            prior = KdePrior(points=support[rng.integers(0, 60, size=150)], bandwidth=h)
+        config = dataclasses.replace(_EXPAND_SHAPES[trial % 3], sampler=sampler)
+        anchor = _random_anchor(rng, d)
+        path = rng.integers(0, config.k, size=int(rng.integers(0, 3))).tolist()
+        seed = int(rng.integers(0, 2**63))
+        got, visits = expand(anchor, path, prior, config, seed)
+        want, want_visits = oracle.expand(anchor, path, prior, config, seed)
+        assert got.tobytes() == want.tobytes() and visits == want_visits, (trial, seed)
+        cases += 1
+    assert cases >= 200
 
 
 def test_expand_rejects_ragged_anchor(prior):

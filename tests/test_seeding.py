@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from lookahead.seeding import derive_seed, rng_from
+import expansion_oracles as oracle
+from lookahead.seeding import derive_seed, encode_part, rng_from
 
 # seeds of the incremental-hash encoding, pinned: a change here moves every
 # episode, demo, search and model-error stream
@@ -57,3 +61,34 @@ def test_rng_from_reproduces_stream():
     assert np.array_equal(a, b)
     c = rng_from("x", 8).normal(size=16)
     assert not np.array_equal(a, c)
+
+
+_PARTS = [0, 1, -1, 7, 2**63, -2**63, 2**127 - 1, -2**127, True, False, 0.0, -0.0, 1.5, math.inf,
+          -math.inf, math.nan, 5e-324, sys.float_info.max, "", "expand", "épisode", "\x00",
+          b"", b"\x00\xff", bytes(range(256)), b"r" * 70_000]
+
+
+@pytest.mark.parametrize("part", _PARTS, ids=repr)
+def test_encode_part_equals_the_packed_header_form(part):
+    assert encode_part(part) == oracle.encode_part(part)
+
+
+def test_encode_part_of_random_ints_and_floats_equals_the_packed_header_form():
+    rng = np.random.default_rng(4)
+    for x in rng.integers(-2**63, 2**63, size=2000, dtype=np.int64).tolist():
+        assert encode_part(x) == oracle.encode_part(x)
+        big = x * 2**63 + x
+        assert encode_part(big) == oracle.encode_part(big)
+    for x in (rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, size=2000)).tolist():
+        assert encode_part(x) == oracle.encode_part(x)
+
+
+@pytest.mark.parametrize("part, error", [(2**127, OverflowError), (-2**127 - 1, OverflowError),
+                                         (None, TypeError), (np.int64(3), TypeError),
+                                         (bytearray(b"x"), TypeError), ((1,), TypeError)])
+def test_encode_part_fails_as_the_packed_header_form(part, error):
+    with pytest.raises(error) as got:
+        encode_part(part)
+    with pytest.raises(error) as want:
+        oracle.encode_part(part)
+    assert str(got.value) == str(want.value)
