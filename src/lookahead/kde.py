@@ -36,6 +36,12 @@ full formula gives it. The terms are gathered back with
 axis 1 returns an F-ordered one, whose row sums numpy takes in another order),
 so the mean sums the same values in the same order as over the whole support.
 
+A squared distance is ``np.einsum("nd,nd->n", ...)`` of a difference row with
+itself, and einsum sums a row in the lane order of the installed numpy build's
+vector kernel: at d = 4 on x86-64 (numpy 2.4) that is (s0 + s2) + (s1 + s3), not
+left to right. Density bits, and the visit counts and reports built on them,
+therefore rest on that order; ``tests/test_kde.py`` pins it on the shipped prior.
+
 ``sample`` draws each action as a uniform support point plus
 ``Generator.normal(0.0, h)`` noise, which numpy computes as 0.0 + h * z per
 standard normal z (the sum fixes a zero's sign, so h * z alone is not the same
@@ -57,6 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, parse_object, require_numbers, require_types
+from .seeding import seeded_rng
 
 try:  # the clip ufunc itself, which np.clip and ndarray.clip reach through Python wrappers
     from numpy._core.umath import clip as _clip
@@ -200,7 +207,7 @@ def sample(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else seeded_rng(seed)
     idx = rng.integers(0, prior.n_points, size=n)
     draws = prior.points.take(idx, axis=0)  # points[idx] + noise, bit for bit
     draws += rng.normal(0.0, prior.bandwidth, size=(n, prior.dim))

@@ -34,7 +34,7 @@ from .actions import (
 from .errors import require_types
 from .kde import KdePrior, one_point_prior, sample, top_k_near, weights_from_densities, density
 from .seeding import derive_seed
-from .world import Observation
+from .world import MAX_EPSILON, Observation
 
 WorldModel = Callable[[Observation, Action], Observation]
 RewardFn = Callable[[Observation], float]
@@ -75,6 +75,10 @@ class SearchConfig:
             raise ValueError("visit_budget must be >= k")
         if self.epsilon_model < 0:
             raise ValueError("epsilon_model must be non-negative")
+        if self.epsilon_model > MAX_EPSILON:
+            raise ValueError(f"epsilon_model must be at most {MAX_EPSILON!r}, so that the "
+                             f"world model's draw range 2 * epsilon_model is finite, "
+                             f"got {self.epsilon_model!r}")
         if self.sampler not in ("kde", "noise"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
 

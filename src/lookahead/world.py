@@ -17,23 +17,27 @@ import json
 import math
 import operator
 import struct
-from typing import Iterable, Union
+import sys
+from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .actions import Action
 from .errors import require_types
 # world.derive_seed stays importable: perfbench's tracer patches it
-from .seeding import derive_seed, encode_part, rng_from, seed_from_encoded  # noqa: F401
+from .seeding import (bytes_part_header, derive_seed, encode_part, rng_from,  # noqa: F401
+                      seed_from_encoded, seeded_rng)
 
 GRASP_RADIUS = 0.03  # closing within this distance of a center attaches the object
 OBJECT_HALF_SIZE = 0.02
 HOME_POSE = (0.5, 0.5, 0.25)
 RESET_JITTER = 0.03  # +/- uniform horizontal jitter applied to nominal layouts
 _Z_ATOL = 1e-9  # resting heights are computed analytically, so exact up to float noise
+# the largest epsilon whose draw range 2 * epsilon is finite (doubling is exact)
+MAX_EPSILON = sys.float_info.max / 2.0
 _MODEL_PART = encode_part("model")  # the first part of every world-model key
 # an episode keys all its transitions with one model seed. Only int seeds are
-# cached: a cache keyed by value would give 0.0 and -0.0, or 1 and True, one entry
+# cached: a cache keyed by value would give 0.0 and -0.0, or True and 1.0, one entry
 _seed_part = functools.lru_cache(maxsize=64)(encode_part)
 
 
@@ -128,6 +132,17 @@ class TaskSpec:
     def canonical_json(self) -> bytes:
         """``to_dict`` as sorted-key UTF-8 JSON, built once per (frozen) spec."""
         return json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+
+    @functools.cached_property
+    def _layouts(self) -> dict[int, "_Layout"]:
+        """Object count -> ``_Layout`` of this task's states, filled by ``_layout``."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # a layout holds struct.Struct methods, which do not pickle: a worker rebuilds it
+        state = self.__dict__.copy()
+        state.pop("_layouts", None)
+        return state
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TaskSpec":
@@ -228,15 +243,51 @@ class Observation:
         return obs
 
     def canonical_bytes(self) -> bytes:
-        parts = [
-            struct.pack(">3d?i", *self.gripper_pos, self.grip_closed,
-                        -1 if self.held_object is None else self.held_object),
-        ]
-        for o in self.objects:
-            parts.append(struct.pack(">4d", *o.pos, o.half_size))
-        parts.append(struct.pack(">2i", self.step_index, self.waypoints_hit))
-        parts.append(self.task.canonical_json)
-        return b"".join(parts)
+        """The state's fields in its ``_layout``, then the task's canonical JSON."""
+        return _layout(self.task, len(self.objects)).state(*_state_fields(self)) \
+            + self.task.canonical_json
+
+
+class _Layout(NamedTuple):
+    """How the states of one task with one object count are packed.
+
+    ``state`` packs ``_state_fields`` big-endian: the gripper position, the grip,
+    the held object (-1 for none), each object's position and half size, the step
+    and the waypoints hit. ``key`` packs ``head``, the same fields, ``tail`` and an
+    action's delta and grip: the bytes ``derive_seed`` joins for the parts
+    ("model", canonical bytes, action bytes) of a world-model key.
+    """
+
+    state: Callable[..., bytes]
+    key: Callable[..., bytes]
+    head: bytes
+    tail: bytes
+
+
+def _layout(task: TaskSpec, n_objects: int) -> _Layout:
+    """The ``_Layout`` of ``task``'s states with ``n_objects`` objects, built once."""
+    layout = task._layouts.get(n_objects)
+    if layout is None:
+        fields = f"3d?i{4 * n_objects}d2i"
+        state = struct.Struct(">" + fields)
+        # encode_part of "model", then encode_part's header of the canonical bytes
+        head = _MODEL_PART + bytes_part_header(state.size + len(task.canonical_json))
+        # the canonical bytes' JSON end, then the header of an action's 4 doubles
+        tail = task.canonical_json + bytes_part_header(32)
+        key = struct.Struct(f">{len(head)}s{fields}{len(tail)}s4d")
+        layout = task._layouts[n_objects] = _Layout(state.pack, key.pack, head, tail)
+    return layout
+
+
+def _state_fields(obs: Observation) -> list:
+    """The fields a state's ``_Layout`` packs, in order."""
+    held = obs.held_object
+    fields = [*obs.gripper_pos, obs.grip_closed, -1 if held is None else held]
+    for o in obs.objects:
+        fields += o.pos
+        fields.append(o.half_size)
+    fields += (obs.step_index, obs.waypoints_hit)
+    return fields
 
 
 def waypoint_positions(task: TaskSpec) -> list[tuple[float, float, float]]:
@@ -361,23 +412,26 @@ def imperfect_step(obs: Observation, action: Action, epsilon: float, model_seed:
     <action bytes>, model_seed)``, so re-simulating the same transition always
     lands on the same state, in any process. The held block rides the perturbed
     gripper; the free blocks settle bottom-up at their perturbed (x, y), each
-    onto those already settled. epsilon = 0 short-circuits to the exact ``step``.
+    onto those already settled. epsilon = 0 short-circuits to the exact ``step``;
+    an epsilon above ``MAX_EPSILON``, whose draw range 2 * epsilon is not finite,
+    or a NaN one is a ValueError.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0.0 <= epsilon <= MAX_EPSILON:
+        if epsilon < 0:
+            raise ValueError("epsilon must be non-negative")
+        raise ValueError(f"epsilon must be a number no larger than {MAX_EPSILON!r}, so that "
+                         f"its draw range 2 * epsilon is finite, got {epsilon!r}")
     if epsilon == 0.0:
         return step(obs, action)
     gp, closed, held, objects, hit = _transition(obs, action)
-    # derive_seed's key, hashed once, with "model" encoded ahead and the seed cached
-    key = seed_from_encoded(b"".join((
-        _MODEL_PART,
-        encode_part(obs.canonical_bytes()),
-        encode_part(struct.pack(">4d", *action.delta, action.grip)),
-        _seed_part(model_seed) if type(model_seed) is int else encode_part(model_seed),
-    )))
-    rng = np.random.default_rng(key)
+    # derive_seed's key, hashed once: one pack of every part but the cached seed's
+    layout = _layout(obs.task, len(objects))
+    key = seed_from_encoded(layout.key(layout.head, *_state_fields(obs), layout.tail,
+                                       *action.delta, action.grip)
+                            + (_seed_part(model_seed) if type(model_seed) is int
+                               else encode_part(model_seed)))
     # as Python floats: the same IEEE sums, and the state keeps plain floats
-    off = rng.uniform(-epsilon, epsilon, size=3 + 3 * len(objects)).tolist()
+    off = seeded_rng(key).uniform(-epsilon, epsilon, size=3 + 3 * len(objects)).tolist()
     # _clip01 of every perturbed coordinate, gripper first, written out inline
     pos = [0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
            for v in map(operator.add, itertools.chain(gp, *(o.pos for o in objects)), off)]

@@ -188,6 +188,11 @@ def test_invalid_config_exits_two(tmp_path):
     (dict(TINY, sweeps={"alphas": [0.5, 1.5]}), "sweeps.alphas entry 1.5: alpha must lie in [0, 1]"),
     (dict(TINY, sweeps={"epsilons": [-0.1]}),
      "sweeps.epsilons entry -0.1: epsilon_model must be non-negative"),
+    (dict(TINY, search={"epsilon_model": 1e308}),
+     "epsilon_model must be at most 8.988465674311579e+307, so that the world model's draw "
+     "range 2 * epsilon_model is finite, got 1e+308"),
+    (dict(TINY, sweeps={"epsilons": [0.02, 1e308]}),
+     "sweeps.epsilons entry 1e+308: epsilon_model must be at most 8.988465674311579e+307"),
     (dict(TINY, search={"c": math.nan}), "c must be a number, got nan"),
     (dict(TINY, prior={"bandwidth": "scott"}), "prior_bandwidth must be a number, got 'scott'"),
     (dict(TINY, search={"invoke_period": 1}), "unknown key 'invoke_period' in config section 'search'"),
@@ -226,6 +231,7 @@ def test_bad_task_section_exits_two_naming_it(tmp_path, capsys, task, named):
 @pytest.mark.parametrize("command, sweeps", [
     ("sweep-alpha", {"alphas": [0.0, 1.5]}),
     ("sweep-model-error", {"epsilons": [0.0, -0.1]}),
+    ("sweep-model-error", {"epsilons": [0.0, 1e308]}),
 ])
 def test_bad_sweep_point_exits_two_before_any_episode(workdir, monkeypatch, capsys, command, sweeps):
     root, _, out = workdir

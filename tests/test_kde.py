@@ -206,6 +206,25 @@ def test_density_window_edge_is_exact(t):
         assert np.atleast_1d(density(prior, query[None, :])).tobytes() == want.tobytes()
 
 
+def test_einsum_sums_the_shipped_priors_squares_in_its_pinned_order(prior):
+    # density's squared distances come from np.einsum("nd,nd->n"), whose summation
+    # order is the vector width of the installed numpy build's einsum kernel. At
+    # d = 4 it pairs the lanes: (s0 + s2) + (s1 + s3), which differs from the left-to-
+    # right sum on about a quarter of rows. Density bits, and the visit counts and
+    # reports built on them, rest on this order.
+    assert prior.dim == 4
+    queries = sample(prior, 64, 2024, action_bounds(1))
+    diffs = (queries[:, None, :] - prior.sorted_support[2][None, :, :]).reshape(-1, 4)
+    sq = (diffs * diffs).T.tolist()
+    pinned = [(s0 + s2) + (s1 + s3) for s0, s1, s2, s3 in zip(*sq)]
+    in_order = [((s0 + s1) + s2) + s3 for s0, s1, s2, s3 in zip(*sq)]
+    got = np.einsum("nd,nd->n", diffs, diffs).tolist()
+    assert got == pinned, ("np.einsum no longer sums 4 squares as (s0 + s2) + (s1 + s3) in "
+                           "this numpy build: density bits, and the reports pinned on them, "
+                           "may move")
+    assert got != in_order  # the pin tells the two orders apart on this data
+
+
 def test_density_of_an_empty_batch_is_an_empty_array():
     prior = fit_kde(np.random.default_rng(25).uniform(-0.05, 0.05, size=(20, 4)), 0.01)
     got = density(prior, np.zeros((0, 4)))

@@ -101,11 +101,18 @@ def test_config_defaults_are_valid():
     dict(alpha=-0.1),
     dict(visit_budget=4, k=8),
     dict(epsilon_model=-0.01),
+    dict(epsilon_model=1e308),  # its draw range 2 * epsilon_model overflows
     dict(sampler="magic"),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SearchConfig(**kwargs)
+
+
+def test_config_takes_the_largest_epsilon_whose_range_is_finite():
+    assert SearchConfig(epsilon_model=la.world.MAX_EPSILON).epsilon_model == la.world.MAX_EPSILON
+    with pytest.raises(ValueError, match="draw range 2 \\* epsilon_model is finite"):
+        SearchConfig(epsilon_model=math.nextafter(la.world.MAX_EPSILON, math.inf))
 
 
 def test_config_dict_round_trip():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import expansion_oracles as oracle
-from lookahead.seeding import derive_seed, encode_part, rng_from
+from lookahead.seeding import derive_seed, encode_part, rng_from, seeded_rng
 
 # seeds of the incremental-hash encoding, pinned: a change here moves every
 # episode, demo, search and model-error stream
@@ -61,6 +61,53 @@ def test_rng_from_reproduces_stream():
     assert np.array_equal(a, b)
     c = rng_from("x", 8).normal(size=16)
     assert not np.array_equal(a, c)
+
+
+def _same_generator(seed):
+    """seeded_rng(seed) and np.random.default_rng(seed) hold the same state and give
+    the same bytes from each draw kind a program stream takes, in turn."""
+    got, want = seeded_rng(seed), np.random.default_rng(seed)
+    assert got.bit_generator.state == want.bit_generator.state, seed
+    for draw in (lambda g: g.uniform(-0.02, 0.02, size=9),
+                 lambda g: g.normal(0.0, 0.01, size=(3, 4)),
+                 lambda g: g.standard_normal(6),
+                 lambda g: g.random(5),
+                 lambda g: g.integers(0, 1069, size=7),  # below 2**32: the buffered 32-bit path
+                 lambda g: g.integers(0, 2**40, size=3),
+                 lambda g: g.uniform(-0.02, 0.02, size=1)):
+        assert draw(got).tobytes() == draw(want).tobytes(), seed
+    assert got.bit_generator.state == want.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**200 + 3])
+def test_seeded_rng_equals_default_rng_at_the_word_edges(seed):
+    _same_generator(seed)
+    # its SeedSequence answers every state request as numpy's does, and spawns alike
+    got, want = seeded_rng(seed).bit_generator.seed_seq, np.random.SeedSequence(seed)
+    for n_words, dtype in ((4, np.uint64), (6, np.uint32), (4, np.uint32), (8, np.uint64)):
+        assert got.generate_state(n_words, dtype).tobytes() == \
+            want.generate_state(n_words, dtype).tobytes()
+    for child, oracle in zip(seeded_rng(seed).spawn(2), np.random.default_rng(seed).spawn(2)):
+        assert child.bit_generator.state == oracle.bit_generator.state
+
+
+def test_seeded_rng_equals_default_rng_on_derived_and_random_seeds():
+    for parts, seed in PINNED_SEEDS:
+        _same_generator(seed)
+    for i in range(50):
+        _same_generator(derive_seed("model", b"\x00" * i, i))
+    rng = np.random.default_rng(5)
+    for seed in rng.integers(0, 2**64, size=10_000, dtype=np.uint64).tolist():
+        _same_generator(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, -2**63, -2**64, 1.5, 0.0, float("nan"), "7", b"7", [-1], object()])
+def test_seeded_rng_fails_as_default_rng(seed):
+    with pytest.raises(Exception) as want:
+        np.random.default_rng(seed)
+    with pytest.raises(want.type) as got:
+        seeded_rng(seed)
+    assert type(got.value) is want.type and str(got.value) == str(want.value)
 
 
 _PARTS = [0, 1, -1, 7, 2**63, -2**63, 2**127 - 1, -2**127, True, False, 0.0, -0.0, 1.5, math.inf,

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
 import lookahead as la
+from lookahead import world
 from lookahead.world import (
     GRASP_RADIUS,
     HOME_POSE,
@@ -93,14 +96,22 @@ def _resettle_free_reference(objects, held, tolerance):
     return out
 
 
+def _canonical_bytes_reference(obs):
+    """``canonical_bytes`` as first written: one pack per part, then the task's
+    sorted-key JSON, joined."""
+    held = -1 if obs.held_object is None else obs.held_object
+    return b"".join([struct.pack(">3d?i", *obs.gripper_pos, obs.grip_closed, held),
+                     *(struct.pack(">4d", *o.pos, o.half_size) for o in obs.objects),
+                     struct.pack(">2i", obs.step_index, obs.waypoints_hit),
+                     json.dumps(obs.task.to_dict(), sort_keys=True).encode("utf-8")])
+
+
 def _imperfect_step_reference(obs, action, epsilon, model_seed):
     """``imperfect_step`` as first written: a full ``step``, then its perturbed copy."""
     base = la.step(obs, action)
     if epsilon == 0.0:
         return base
-    key = la.derive_seed("model", obs.canonical_bytes(),
-                         struct.pack(">4d", *action.delta, action.grip), model_seed)
-    off = np.random.default_rng(key).uniform(-epsilon, epsilon,
+    off = np.random.default_rng(_model_key(obs, action, model_seed)).uniform(-epsilon, epsilon,
                                              size=3 + 3 * len(base.objects)).tolist()
     clip = lambda v: min(1.0, max(0.0, v))  # noqa: E731
     gp = tuple(clip(base.gripper_pos[i] + off[i]) for i in range(3))
@@ -302,13 +313,8 @@ def test_observation_dict_round_trip(stack_task):
 def test_canonical_bytes_equal_the_plain_task_json_form(kind):
     task = la.TaskSpec(kind=kind, horizon=37, tolerance=0.03)
     obs = la.step(la.reset(task, 3), la.Action((0.01, -0.02, 0.03), 0.9))
-    plain = json.dumps(task.to_dict(), sort_keys=True).encode("utf-8")
-    held = -1 if obs.held_object is None else obs.held_object
-    expected = b"".join([struct.pack(">3d?i", *obs.gripper_pos, obs.grip_closed, held),
-                         *(struct.pack(">4d", *o.pos, o.half_size) for o in obs.objects),
-                         struct.pack(">2i", obs.step_index, obs.waypoints_hit), plain])
     state = obs.canonical_bytes()
-    assert state == expected
+    assert state == _canonical_bytes_reference(obs)
     again = dataclasses.replace(obs, task=la.TaskSpec.from_dict(task.to_dict()))
     assert again.canonical_bytes() == state  # a fresh spec with the same content
     assert obs.canonical_bytes() == state  # and the cached spec, read again
@@ -350,8 +356,17 @@ def test_imperfect_step_matches_the_full_step_reference(kind):
 
 
 def _model_key(obs, action, model_seed):
-    return la.derive_seed("model", obs.canonical_bytes(),
+    """The world-model key in its per-part form: derive_seed of the parts."""
+    return la.derive_seed("model", _canonical_bytes_reference(obs),
                           struct.pack(">4d", *action.delta, action.grip), model_seed)
+
+
+def _captured_keys(monkeypatch):
+    """The keys imperfect_step seeds its generator with, as it calls ``seeded_rng``."""
+    keys = []
+    real = world.seeded_rng
+    monkeypatch.setattr(world, "seeded_rng", lambda key: keys.append(key) or real(key))
+    return keys
 
 
 def _stack_state(task, gripper_pos, held, positions):
@@ -391,9 +406,7 @@ def test_imperfect_step_settles_a_height_tie_in_index_order(stack_task):
 
 
 def test_imperfect_step_keys_its_draw_by_the_state_action_and_model_seed(monkeypatch):
-    keys = []
-    real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda key: keys.append(key) or real(key))
+    keys = _captured_keys(monkeypatch)
 
     def key_of(obs, a, seed):
         keys.clear()
@@ -418,6 +431,78 @@ def test_imperfect_step_keys_its_draw_by_the_state_action_and_model_seed(monkeyp
     for seed in (2**127, -2**127 - 1):
         with pytest.raises(OverflowError):
             la.imperfect_step(obs, a, 0.02, seed)
+
+
+_EDGE_COORDS = (0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53)
+
+
+def _layout_cases():
+    """States of every task kind at the layout's edges: object counts other than the
+    task's, no held object and each index, both grips, ±0.0 and the [0, 1] edges."""
+    rng = np.random.default_rng(31)
+    for kind in (la.Stack(), la.PickPlace(), la.FollowCircle()):
+        task = la.TaskSpec(kind=kind, horizon=11, tolerance=0.05)
+        for n_objects in sorted({task.n_objects, 0, 1, 3}):
+            for held in (None, *range(n_objects)):
+                for closed in (False, True):
+                    coords = iter(rng.choice(_EDGE_COORDS, size=3 + 4 * n_objects).tolist())
+                    objects = tuple(ObjectState((next(coords), next(coords), next(coords)),
+                                                next(coords)) for _ in range(n_objects))
+                    yield Observation((next(coords), next(coords), next(coords)), closed, held,
+                                      objects, task, int(rng.integers(0, 2**31)),
+                                      int(rng.integers(0, 9)))
+
+
+def test_canonical_bytes_and_key_equal_the_per_part_form(monkeypatch):
+    keys = _captured_keys(monkeypatch)
+    seeds = [0, -1, 2**127 - 1, -2**127, 9, 0.0, -0.0, 2.5, float("nan"), "", "model", True, False]
+    actions = [la.Action((-0.0, 0.0, 0.05), -0.0), la.Action((-0.05, 0.0123, -0.0), 1.0),
+               la.Action((0.0, -0.05, 0.01), 0.5)]
+    n_states = 0
+    for obs in _layout_cases():
+        n_states += 1
+        assert obs.canonical_bytes() == _canonical_bytes_reference(obs)
+        for i, seed in enumerate(seeds):
+            a = actions[(n_states + i) % len(actions)]
+            keys.clear()
+            la.imperfect_step(obs, a, 0.01, seed)
+            assert keys == [_model_key(obs, a, seed)], (obs, a, seed)
+    assert n_states == 48
+
+
+def test_a_task_with_filled_layouts_pickles_and_round_trips():
+    task = la.TaskSpec(kind=la.Stack(), horizon=21)
+    obs = la.reset(task, 5)
+    a = la.Action((0.01, 0.0, -0.02), 0.0)
+    fresh = la.TaskSpec(kind=la.Stack(), horizon=21)
+    fresh.canonical_json  # noqa: B018 - the one cached value a pickle carries
+    expected = la.imperfect_step(obs, a, 0.02, 4)
+    dataclasses.replace(obs, objects=obs.objects[:1]).canonical_bytes()  # a second layout
+    assert pickle.dumps(task) == pickle.dumps(fresh)  # the layouts stay out of the pickle
+    again = pickle.loads(pickle.dumps(obs))
+    assert again == obs and again.task == task
+    assert again.canonical_bytes() == obs.canonical_bytes()
+    assert la.imperfect_step(again, a, 0.02, 4) == expected
+    assert copy.deepcopy(task) == task
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 1e308,
+                                     math.nextafter(world.MAX_EPSILON, math.inf), 10**400])
+def test_imperfect_step_rejects_an_epsilon_whose_range_is_not_finite(monkeypatch, epsilon):
+    hashed = []
+    monkeypatch.setattr(world, "seed_from_encoded", lambda data: hashed.append(data) or 0)
+    obs = la.reset(la.TaskSpec(kind=la.Stack()), 2)
+    with pytest.raises(ValueError, match="epsilon must be a number no larger than"):
+        la.imperfect_step(obs, la.Action((0.01, 0.0, 0.0), 0.0), epsilon, 3)
+    assert hashed == []  # before the key is hashed
+
+
+def test_imperfect_step_takes_the_largest_epsilon_with_a_finite_range():
+    obs = la.reset(la.TaskSpec(kind=la.Stack()), 2)
+    assert math.isfinite(2.0 * world.MAX_EPSILON)
+    assert 2.0 * math.nextafter(world.MAX_EPSILON, math.inf) == math.inf
+    nxt = la.imperfect_step(obs, la.Action((0.01, 0.0, 0.0), 0.0), world.MAX_EPSILON, 3)
+    assert all(v in (0.0, 1.0) for v in nxt.gripper_pos)
 
 
 def test_imperfect_step_determinism(stack_task):
